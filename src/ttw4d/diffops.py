@@ -1,11 +1,13 @@
 """Differential operators as coefficient x mixed-partial term lists.
 
-A DiffOperator is a finite sum of terms c(point) * d^mu, applied to a
-function through its jet: the caller supplies a Point-to-Jet evaluator of
-sufficient order, the operator extracts derivative jets and multiplies by
-coefficient jets.  Operators close under addition, scaling and composition
-(composition expands by the Leibniz rule, differentiating coefficients
-through their own jets — no symbolic algebra anywhere).
+A DiffOperator is a finite sum of terms c(point) * d^mu plus products of
+operators, applied to a function through its jet: the caller supplies a
+Point-to-Jet evaluator of sufficient order, the operator extracts derivative
+jets and multiplies by coefficient jets.  A coefficient is a plain
+(point, order) -> Jet callable.  Operators close under addition, scaling and
+composition; a product A ∘ B is applied by chaining, A.apply(B.bind(f)), so
+f's Taylor jet passes through each factor in turn and no coefficient is ever
+differentiated (no symbolic algebra anywhere).
 
 Built here: the commuting tower H, L1, L2, L3 (with the quantum-corrected
 potential terms), the printed one-variable ladders K0^{+-}, J^{+-},
@@ -14,17 +16,13 @@ in both its printed and corrected forms (tables in _expl211).
 """
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Callable
 
 from ._expl211 import CORRECTED_TABLE, DERIV_INDEX, PRINTED_TABLE
 from .model import (AngularSlotGauge, QuantumState, SystemParams,
                     spectral_chain)
 from .numcore import Jet, opoly_eval
-
-MultiIndex = Tuple[int, int, int, int]
 
 
 def coords(point, order: int):
@@ -32,88 +30,71 @@ def coords(point, order: int):
     return tuple(Jet.variable(point, i, order) for i in range(4))
 
 
-class CoeffFn:
-    """Coefficient function: (point, order) -> Jet, with a report tag."""
-
-    __slots__ = ("fn", "tag")
-
-    def __init__(self, fn, tag: str = "c"):
-        self.fn = fn
-        self.tag = tag
-
-    def __call__(self, point, order: int) -> Jet:
-        return self.fn(point, order)
-
-
-def coeff_const(c, tag=None) -> CoeffFn:
+def coeff_const(c) -> Callable:
     v = float(c)
-    return CoeffFn(lambda p, o: Jet.constant(v, p, o), tag or str(c))
+    return lambda p, o: Jet.constant(v, p, o)
 
 
-def coeff_vars(fn, tag: str) -> CoeffFn:
+def coeff_vars(fn) -> Callable:
     """Coefficient built from the coordinate jets: fn(r, t1, t2, t3) -> Jet."""
-    return CoeffFn(lambda p, o: fn(*coords(p, o)), tag)
+    return lambda p, o: fn(*coords(p, o))
 
 
-def coeff_sum(a: CoeffFn, b: CoeffFn) -> CoeffFn:
-    return CoeffFn(lambda p, o: a(p, o) + b(p, o), f"{a.tag}+{b.tag}")
+def coeff_sum(a, b) -> Callable:
+    return lambda p, o: a(p, o) + b(p, o)
 
 
-def coeff_prod(a: CoeffFn, b: CoeffFn) -> CoeffFn:
-    return CoeffFn(lambda p, o: a(p, o) * b(p, o), f"({a.tag})*({b.tag})")
+def coeff_prod(a, b) -> Callable:
+    return lambda p, o: a(p, o) * b(p, o)
 
 
-def coeff_scale(a: CoeffFn, s) -> CoeffFn:
+def coeff_scale(a, s) -> Callable:
     v = float(s)
     if v == 1.0:
         return a
-    return CoeffFn(lambda p, o: a(p, o) * v, f"{s}*({a.tag})")
-
-
-def coeff_deriv(a: CoeffFn, sigma) -> CoeffFn:
-    """d^sigma of a coefficient, realized through a higher-order jet."""
-    sigma = tuple(sigma)
-    k = sum(sigma)
-    if k == 0:
-        return a
-    return CoeffFn(lambda p, o: a(p, o + k).derivative_jet(sigma),
-                   f"d{sigma}[{a.tag}]")
+    return lambda p, o: a(p, o) * v
 
 
 class DiffOperator:
-    """Finite sum of (coefficient, multi-index) terms; no duplicate indices."""
+    """Finite sum of (coefficient, multi-index) terms, no duplicate indices,
+    plus products (outer, inner) meaning outer ∘ inner, inner acting first."""
 
-    __slots__ = ("terms", "name")
+    __slots__ = ("terms", "products")
 
-    def __init__(self, terms, name: str = ""):
+    def __init__(self, terms, products=()):
         merged = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mu, cf in items:
             mu = tuple(int(m) for m in mu)
-            if not isinstance(cf, CoeffFn):
+            if not callable(cf):
                 cf = coeff_const(cf)
             merged[mu] = coeff_sum(merged[mu], cf) if mu in merged else cf
         self.terms = merged
-        self.name = name
+        self.products = tuple(products)
 
     @property
     def max_order(self) -> int:
-        return max((sum(mu) for mu in self.terms), default=0)
+        return max([sum(mu) for mu in self.terms]
+                   + [a.max_order + b.max_order for a, b in self.products],
+                   default=0)
 
     def apply(self, f, point, out_order: int = 0) -> Jet:
         """Apply to a Point-to-Jet evaluator f at a point.
 
-        f is queried at order out_order + max_order; the result is the jet
-        of (op f) of order out_order at the point.
+        f is queried at order at most out_order + max_order; the result is
+        the jet of (op f) of order out_order at the point.
         """
         point = tuple(float(x) for x in point)
-        F = f(point, out_order + self.max_order)
         out = Jet.constant(0.0, point, out_order)
-        for mu, cf in self.terms.items():
-            D = F.derivative_jet(mu)
-            if D.order != out_order:
-                D = D.truncated(out_order)
-            out = out + cf(point, out_order) * D
+        if self.terms:
+            F = f(point, out_order + max(sum(mu) for mu in self.terms))
+            for mu, cf in self.terms.items():
+                D = F.derivative_jet(mu)
+                if D.order != out_order:
+                    D = D.truncated(out_order)
+                out = out + cf(point, out_order) * D
+        for outer, inner in self.products:
+            out = out + outer.apply(inner.bind(f), point, out_order)
         return out
 
     def bind(self, f) -> Callable:
@@ -121,91 +102,76 @@ class DiffOperator:
         return lambda p, o: self.apply(f, p, o)
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        items = list(self.terms.items()) + list(other.terms.items())
-        return DiffOperator(items, f"({self.name}+{other.name})")
+        return DiffOperator(list(self.terms.items()) + list(other.terms.items()),
+                            self.products + other.products)
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return self + other.scale(-1)
 
     def scale(self, s) -> "DiffOperator":
         return DiffOperator([(mu, coeff_scale(cf, s)) for mu, cf in self.terms.items()],
-                            f"({s})*{self.name}")
+                            [(outer.scale(s), inner) for outer, inner in self.products])
 
     def __neg__(self):
         return self.scale(-1)
 
-    def compose(self, other: "DiffOperator", name: str = "") -> "DiffOperator":
-        """Flat expansion of self ∘ other by the Leibniz rule."""
-        items = []
-        for mu, a in self.terms.items():
-            for sigma in itertools.product(*(range(m + 1) for m in mu)):
-                binom = 1
-                for m, s in zip(mu, sigma):
-                    binom *= math.comb(m, s)
-                rest = tuple(m - s for m, s in zip(mu, sigma))
-                for nu, b in other.terms.items():
-                    new_mu = tuple(r + n for r, n in zip(rest, nu))
-                    cf = coeff_prod(a, coeff_scale(coeff_deriv(b, sigma), binom))
-                    items.append((new_mu, cf))
-        return DiffOperator(items, name or f"{self.name}∘{other.name}")
-
-
-def apply(op: DiffOperator, f, p, out_order: int = 0) -> Jet:
-    return op.apply(f, p, out_order)
+    def compose(self, other: "DiffOperator") -> "DiffOperator":
+        """self ∘ other (other acts first), applied by chaining."""
+        return DiffOperator((), [(self, other)])
 
 
 def identity_diffop() -> DiffOperator:
-    return DiffOperator({(0, 0, 0, 0): coeff_const(1, "1")}, "1")
+    return DiffOperator({(0, 0, 0, 0): coeff_const(1)})
 
 
 # ---------------------------------------------------------------------------
 # the commuting tower
 # ---------------------------------------------------------------------------
 
-def _inv_sin2(k: Fraction, axis: int) -> CoeffFn:
+def _inv_sin2(k: Fraction, axis: int):
     kf = float(k)
     def fn(*x):
         s = (x[axis] * kf).sin()
         return 1.0 / (s * s)
-    return coeff_vars(fn, f"1/sin^2(k{axis}*t{axis})")
+    return coeff_vars(fn)
 
 
-def _inv_cos2(k: Fraction, axis: int) -> CoeffFn:
+def _inv_cos2(k: Fraction, axis: int):
     kf = float(k)
     def fn(*x):
         c = (x[axis] * kf).cos()
         return 1.0 / (c * c)
-    return coeff_vars(fn, f"1/cos^2(k{axis}*t{axis})")
+    return coeff_vars(fn)
 
 
-def _cot(k: Fraction, axis: int, scale) -> CoeffFn:
+def _cot(k: Fraction, axis: int, scale):
     kf, sf = float(k), float(scale)
     def fn(*x):
         t = x[axis] * kf
         return sf * t.cos() / t.sin()
-    return coeff_vars(fn, f"{scale}*cot(k{axis}*t{axis})")
+    return coeff_vars(fn)
 
 
 def build_l3(params: SystemParams) -> DiffOperator:
     b3, b4 = params.beta3, params.beta4
     const = coeff_sum(coeff_scale(_inv_cos2(params.k3, 3), b3),
                       coeff_scale(_inv_sin2(params.k3, 3), b4))
-    return DiffOperator({(0, 0, 0, 2): coeff_const(1), (0, 0, 0, 0): const}, "L3")
+    return DiffOperator({(0, 0, 0, 2): coeff_const(1), (0, 0, 0, 0): const})
 
 
-def _nested(outer_terms, inner: DiffOperator, factor: CoeffFn, name):
+def _nested(outer_terms, inner: DiffOperator, factor):
     """outer + factor * inner, expanded into plain terms."""
     items = list(outer_terms)
     for mu, cf in inner.terms.items():
         items.append((mu, coeff_prod(factor, cf)))
-    return DiffOperator(items, name)
+    return DiffOperator(items)
 
 
 def build_l2(params: SystemParams) -> DiffOperator:
     outer = [((0, 0, 2, 0), coeff_const(1)),
              ((0, 0, 1, 0), _cot(params.k2, 2, params.k2)),
              ((0, 0, 0, 0), coeff_scale(_inv_cos2(params.k2, 2), params.beta2))]
-    return _nested(outer, build_l3(params), _inv_sin2(params.k2, 2), "L2")
+    return _nested(outer, build_l3(params), _inv_sin2(params.k2, 2))
 
 
 def build_l1(params: SystemParams) -> DiffOperator:
@@ -215,7 +181,7 @@ def build_l1(params: SystemParams) -> DiffOperator:
     outer = [((0, 2, 0, 0), coeff_const(1)),
              ((0, 1, 0, 0), _cot(params.k1, 1, 2 * params.k1)),
              ((0, 0, 0, 0), const)]
-    return _nested(outer, build_l2(params), _inv_sin2(params.k1, 1), "L1")
+    return _nested(outer, build_l2(params), _inv_sin2(params.k1, 1))
 
 
 def build_h(params: SystemParams) -> DiffOperator:
@@ -230,9 +196,9 @@ def build_h(params: SystemParams) -> DiffOperator:
     def inv_r(r, t1, t2, t3):
         return 3.0 / r
     outer = [((2, 0, 0, 0), coeff_const(1)),
-             ((1, 0, 0, 0), coeff_vars(inv_r, "3/r")),
-             ((0, 0, 0, 0), coeff_vars(radial_const, "-w^2 r^2 + (1-k1^2)/r^2"))]
-    return _nested(outer, build_l1(params), coeff_vars(inv_r2, "1/r^2"), "H")
+             ((1, 0, 0, 0), coeff_vars(inv_r)),
+             ((0, 0, 0, 0), coeff_vars(radial_const))]
+    return _nested(outer, build_l1(params), coeff_vars(inv_r2))
 
 
 def build_tower(params: SystemParams) -> dict:
@@ -263,9 +229,8 @@ def build_radial_ladder(params: SystemParams, n0: int, A0: Fraction, sign: str) 
         return lin / r
     def const_coeff(r, t1, t2, t3):
         return c_shift + c_r2 / (r * r)
-    return DiffOperator({(1, 0, 0, 0): coeff_vars(dr_coeff, f"({lin})/r"),
-                         (0, 0, 0, 0): coeff_vars(const_coeff, "shift + (1-A0^2)/r^2")},
-                        f"K0{sign}")
+    return DiffOperator({(1, 0, 0, 0): coeff_vars(dr_coeff),
+                         (0, 0, 0, 0): coeff_vars(const_coeff)})
 
 
 def _axis_index(gauge: AngularSlotGauge):
@@ -297,9 +262,8 @@ def build_jacobi_ladder(gauge: AngularSlotGauge, n: int, sign: str) -> DiffOpera
         t = x[axis] * k
         c2 = t.cos() * t.cos() - t.sin() * t.sin()
         return c2 * ccos + cconst
-    return DiffOperator({_axis_index(gauge): coeff_vars(dfn, "sin(2kθ) slope"),
-                         (0, 0, 0, 0): coeff_vars(cfn, "cos(2kθ) + const")},
-                        f"J{sign}[{gauge.slot}]")
+    return DiffOperator({_axis_index(gauge): coeff_vars(dfn),
+                         (0, 0, 0, 0): coeff_vars(cfn)})
 
 
 def build_index_ladder(gauge: AngularSlotGauge, n: int, sign: str) -> DiffOperator:
@@ -324,9 +288,8 @@ def build_index_ladder(gauge: AngularSlotGauge, n: int, sign: str) -> DiffOperat
         t = x[axis] * k
         s = t.sin()
         return const + s2 / (s * s)
-    return DiffOperator({_axis_index(gauge): coeff_vars(dfn, "cot slope"),
-                         (0, 0, 0, 0): coeff_vars(cfn, "const + 1/sin^2")},
-                        f"K{sign}a[{gauge.slot}]")
+    return DiffOperator({_axis_index(gauge): coeff_vars(dfn),
+                         (0, 0, 0, 0): coeff_vars(cfn)})
 
 
 # ---------------------------------------------------------------------------
@@ -338,37 +301,38 @@ def _require_211(params: SystemParams):
         raise ValueError("the explicit 5th-order operator requires k = (2,1,1)")
 
 
-def _trig_coeff(trig: str) -> CoeffFn:
+def _trig_coeff(trig: str):
     if trig == "1":
-        return coeff_const(1, "1")
+        return coeff_const(1)
     if trig == "c":
         def fn(r, t1, t2, t3):
             u = t1 * 4.0
             return u.cos()
-        return coeff_vars(fn, "cos(4 t1)")
+        return coeff_vars(fn)
     if trig == "s":
         def fn(r, t1, t2, t3):
             u = t1 * 4.0
             return u.sin()
-        return coeff_vars(fn, "sin(4 t1)")
+        return coeff_vars(fn)
     raise ValueError(f"unknown trig tag {trig!r}")
 
 
-def _rpow_coeff(m: int, scale: float) -> CoeffFn:
+def _rpow_coeff(m: int, scale: float):
     def fn(r, t1, t2, t3):
         return r.power(-m) * scale if m else Jet.constant(scale, r.base, r.order)
-    return coeff_vars(fn, f"{scale}/r^{m}")
+    return coeff_vars(fn)
 
 
 def build_example_L1plus(params: SystemParams) -> DiffOperator:
     """The printed explicit 5th-order operator, k = (2,1,1).
 
-    Each printed term is (coefficient-function x d^mu) composed with the
+    The printed terms (coefficient-function x d^mu) are grouped by their
     substituted operator monomial (E -> H, A0^2 -> k1^2 - L1,
-    A1^2 -> (k2^2 - 4 L2)/(4 k1^2)), the substituted part acting first, and
-    everything expanded into plain terms.  On joint eigenfunctions this
-    reduces to substituting the state's scalar values.  Kept verbatim from
-    the source — it does NOT equal Xi_1^+ + Xi_1^- (see _expl211).
+    A1^2 -> (k2^2 - 4 L2)/(4 k1^2)); the result is the sum over monomials of
+    outer ∘ monomial, the substituted part acting first.  On joint
+    eigenfunctions this reduces to substituting the state's scalar values.
+    Kept verbatim from the source — it does NOT equal Xi_1^+ + Xi_1^- (see
+    _expl211).
     """
     _require_211(params)
     H = build_h(params)
@@ -382,23 +346,21 @@ def build_example_L1plus(params: SystemParams) -> DiffOperator:
     hats = {
         "1": I,
         "E": H,
-        "E2": H.compose(H, "H^2"),
+        "E2": H.compose(H),
         "A02": A02,
-        "A04": A02.compose(A02, "A0^4"),
+        "A04": A02.compose(A02),
         "A12": A12,
-        "EA02": H.compose(A02, "E*A0^2"),
-        "EA12": H.compose(A12, "E*A1^2"),
-        "A02A12": A02.compose(A12, "A0^2*A1^2"),
+        "EA02": H.compose(A02),
+        "EA12": H.compose(A12),
+        "A02A12": A02.compose(A12),
     }
     a1sq = params.a1 ** 2
-    items = []
+    outers = {}
     for (deriv, trig, rpow, smono), (c0, c1) in PRINTED_TABLE.items():
-        cc = float(c0 + c1 * a1sq)
-        cf = coeff_prod(_trig_coeff(trig), _rpow_coeff(rpow, cc))
-        outer = DiffOperator({DERIV_INDEX[deriv]: cf})
-        for mu, hcf in outer.compose(hats[smono]).terms.items():
-            items.append((mu, hcf))
-    return DiffOperator(items, "L1+ (printed, k=211)")
+        cf = coeff_prod(_trig_coeff(trig), _rpow_coeff(rpow, float(c0 + c1 * a1sq)))
+        outers.setdefault(smono, []).append((DERIV_INDEX[deriv], cf))
+    return DiffOperator((), [(DiffOperator(terms), hats[smono])
+                             for smono, terms in outers.items()])
 
 
 def example211_scalar(params: SystemParams, state, variant: str = "corrected") -> DiffOperator:
@@ -414,7 +376,6 @@ def example211_scalar(params: SystemParams, state, variant: str = "corrected") -
         raise ValueError("scalar substitution needs a fixed numeric omega")
     ch = spectral_chain(params, QuantumState(*state))
     E = opoly_eval(ch.E, params.omega)
-    vals = {"E": E, "A0": ch.A0, "A1": ch.A1, "a1": params.a1}
     items = []
     if variant == "corrected":
         for (i, j), monos in CORRECTED_TABLE.items():
@@ -435,4 +396,4 @@ def example211_scalar(params: SystemParams, state, variant: str = "corrected") -
                           coeff_prod(_trig_coeff(trig), _rpow_coeff(rpow, float(cc)))))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return DiffOperator(items, f"L1+ scalar[{variant}] at {tuple(state)}")
+    return DiffOperator(items)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diffops import CoeffFn, DiffOperator, apply as diff_apply, build_h, coords
+from .diffops import DiffOperator, build_h, coords
 from .model import SystemParams, in_cell, potential_v0
 from .numcore import Jet
 
@@ -188,7 +188,7 @@ def laplace_beltrami(params: SystemParams) -> DiffOperator:
     def second_coeff(axis):
         def fn(p, o):
             return metric_diag_jets(params, p, o)[axis].reciprocal()
-        return CoeffFn(fn, f"g^{axis}{axis}")
+        return fn
 
     def first_coeff(axis):
         def fn(p, o):
@@ -197,7 +197,7 @@ def laplace_beltrami(params: SystemParams) -> DiffOperator:
             h = sqrtg * g[axis].reciprocal()
             e = tuple(1 if j == axis else 0 for j in range(4))
             return h.derivative_jet(e) / sqrtg.truncated(o)
-        return CoeffFn(fn, f"div term {axis}")
+        return fn
 
     terms = []
     for a in range(4):
@@ -205,7 +205,7 @@ def laplace_beltrami(params: SystemParams) -> DiffOperator:
         mu1 = tuple(1 if j == a else 0 for j in range(4))
         terms.append((mu2, second_coeff(a)))
         terms.append((mu1, first_coeff(a)))
-    return DiffOperator(terms, "laplace-beltrami")
+    return DiffOperator(terms)
 
 
 def conformal_identity_check(params: SystemParams, p, f) -> float:

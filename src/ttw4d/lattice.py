@@ -133,11 +133,10 @@ class LatticeVector:
 class LatticeOperator:
     """Exact linear operator given by a rule state -> LatticeVector."""
 
-    __slots__ = ("rule", "name")
+    __slots__ = ("rule",)
 
-    def __init__(self, rule, name: str = ""):
+    def __init__(self, rule):
         object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeOperator is immutable")
@@ -152,20 +151,17 @@ class LatticeOperator:
         return out
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator(lambda st: self.rule(st) + other.rule(st),
-                               f"({self.name}+{other.name})")
+        return LatticeOperator(lambda st: self.rule(st) + other.rule(st))
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator(lambda st: self.rule(st) - other.rule(st),
-                               f"({self.name}-{other.name})")
+        return LatticeOperator(lambda st: self.rule(st) - other.rule(st))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "LatticeOperator":
         c = _as_opoly(c)
-        return LatticeOperator(lambda st: self.rule(st).scale(c),
-                               f"({c})*{self.name}")
+        return LatticeOperator(lambda st: self.rule(st).scale(c))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, OmegaPoly)):
@@ -179,8 +175,7 @@ class LatticeOperator:
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         """Composition self ∘ other (other acts first)."""
-        return LatticeOperator(lambda st: self.on_vector(other.rule(st)),
-                               f"{self.name}@{other.name}")
+        return LatticeOperator(lambda st: self.on_vector(other.rule(st)))
 
 
 def commutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
@@ -202,17 +197,17 @@ def symmetrized_triple(a, b, c) -> LatticeOperator:
 
 
 def identity_operator() -> LatticeOperator:
-    return LatticeOperator(lambda st: LatticeVector.basis(st), "1")
+    return LatticeOperator(lambda st: LatticeVector.basis(st))
 
 
-def diagonal_operator(fn, name: str = "diag") -> LatticeOperator:
+def diagonal_operator(fn) -> LatticeOperator:
     """Multiplication operator: state -> fn(state) * state."""
-    return LatticeOperator(lambda st: LatticeVector.basis(st, fn(st)), name)
+    return LatticeOperator(lambda st: LatticeVector.basis(st, fn(st)))
 
 
 def h_operator(params: SystemParams) -> LatticeOperator:
     """H realized on the basis: multiplication by the exact energy E(state)."""
-    return diagonal_operator(lambda st: spectral_chain(params, st).E, "H")
+    return diagonal_operator(lambda st: spectral_chain(params, st).E)
 
 
 def l_operator(params: SystemParams, i: int) -> LatticeOperator:
@@ -220,7 +215,7 @@ def l_operator(params: SystemParams, i: int) -> LatticeOperator:
     def ell(st):
         ch = spectral_chain(params, st)
         return (ch.ell1, ch.ell2, ch.ell3)[i - 1]
-    return diagonal_operator(ell, f"L{i}")
+    return diagonal_operator(ell)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +383,7 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
 
 
 def xi_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
-    return LatticeOperator(lambda st: xi_action(i, sign, params, st), f"Xi{i}{sign}")
+    return LatticeOperator(lambda st: xi_action(i, sign, params, st))
 
 
 def xi1_closed_form(sign: str, params: SystemParams, state,
@@ -462,7 +457,7 @@ def Lpm_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
 
 
 def lpm_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
-    return LatticeOperator(lambda st: Lpm_action(i, sign, params, st), f"L{i}{sign}")
+    return LatticeOperator(lambda st: Lpm_action(i, sign, params, st))
 
 
 def P_action(i: int, sign: str, params: SystemParams, state,
@@ -495,8 +490,7 @@ def P_action(i: int, sign: str, params: SystemParams, state,
 
 def p_operator(params: SystemParams, i: int, sign: str,
                convention: str = "antisymmetric") -> LatticeOperator:
-    return LatticeOperator(lambda st: P_action(i, sign, params, st, convention),
-                           f"P{i}{sign}")
+    return LatticeOperator(lambda st: P_action(i, sign, params, st, convention))
 
 
 def s1_value(params: SystemParams, state) -> OmegaPoly:
@@ -540,7 +534,7 @@ def M1_minus_action(params: SystemParams, state,
 
 
 def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOperator:
-    return LatticeOperator(lambda st: M1_minus_action(params, st, convention), "M1-")
+    return LatticeOperator(lambda st: M1_minus_action(params, st, convention))
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def _ladder_pointwise(op, source_f, target_f, coeff, points, axis):
 
 
 def run_ladders(params, nmax, points_n, seed, tol, convention):
-    pts = sample_points(params, min(points_n, 20), seed)
+    pts = sample_points(params, points_n, seed)
     cases = []
     w = params.omega
     for n in range(1, 5):

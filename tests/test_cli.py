@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ttw4d import cli
+from ttw4d import cli, suites
 
 
 def run_main(argv, capsys):
@@ -56,6 +56,25 @@ def test_verify_custom_seed_and_points(tmp_path, capsys):
     assert doc["params"]["seed"] == 99
     assert doc["params"]["points"] == 4
     assert doc["params"]["nmax"] == 1
+
+
+def test_verify_ladders_samples_requested_points(tmp_path, capsys, monkeypatch):
+    """--points N samples N points in the ladders suite, as the report says."""
+    asked = []
+    sample = suites.sample_points
+
+    def recording(params, count, seed, *args, **kwargs):
+        asked.append(count)
+        return sample(params, count, seed, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "sample_points", recording)
+    rep = tmp_path / "r.json"
+    code, _, _ = run_main(["verify", "--suite", "ladders", "--k", "2,1,1",
+                           "--a", "1/2,1/2,1/2,1/2", "--points", "25",
+                           "--report", str(rep)], capsys)
+    assert code == 0
+    assert asked == [25]
+    assert json.loads(rep.read_text())["params"]["points"] == 25
 
 
 def test_verify_csv_report(tmp_path, capsys):

@@ -16,6 +16,7 @@ from ttw4d.diffops import (
     build_radial_ladder,
     build_tower,
     coeff_const,
+    coeff_vars,
     example211_scalar,
     identity_diffop,
 )
@@ -66,7 +67,7 @@ def test_identity_operator():
 
 def test_pure_second_derivative_on_slot3():
     """d²/dθ₃² on sin θ₃ cos θ₃ is -4 times the function."""
-    op = DiffOperator({(0, 0, 0, 2): coeff_const(1)}, "d2/dt3^2")
+    op = DiffOperator({(0, 0, 0, 2): coeff_const(1)})
     f = fn_of(lambda r, t1, t2, t3: t3.sin() * t3.cos())
     for t3 in (0.3, 0.8, 1.2):
         pt = (1.0, 0.5, 0.5, t3)
@@ -79,7 +80,7 @@ def test_first_order_radial_term():
     def three_over_r(r, t1, t2, t3):
         return 3.0 / r
     from ttw4d.diffops import coeff_vars
-    op = DiffOperator({(1, 0, 0, 0): coeff_vars(three_over_r, "3/r")}, "")
+    op = DiffOperator({(1, 0, 0, 0): coeff_vars(three_over_r)})
     f = fn_of(lambda r, t1, t2, t3: r * r)
     got = op.apply(f, (2.0, 0.5, 0.5, 0.5), 0).value
     assert got == pytest.approx(6.0, rel=1e-14)
@@ -96,6 +97,87 @@ def test_linearity():
     lhs = op.apply(fg, pt, 0).value
     rhs = 2.0 * op.apply(f, pt, 0).value - 0.7 * op.apply(g, pt, 0).value
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# -- products, applied by chaining --------------------------------------------------------
+#
+# A = r^2 d_r,  B = r d_r + t2,  C = r d_t2,  f = r^3 sin t2.  By hand:
+#   B f     = (3 + t2) r^3 sin t2
+#   A B f   = 3 (3 + t2) r^4 sin t2     (B's coefficient r is differentiated by A)
+#   C f     = r^4 cos t2
+#   B C f   = (4 + t2) r^4 cos t2
+#   A B C f = 4 (4 + t2) r^5 cos t2
+
+def _abc():
+    A = DiffOperator({(1, 0, 0, 0): coeff_vars(lambda r, t1, t2, t3: r * r)})
+    B = DiffOperator({(1, 0, 0, 0): coeff_vars(lambda r, t1, t2, t3: r),
+                      (0, 0, 0, 0): coeff_vars(lambda r, t1, t2, t3: t2)})
+    C = DiffOperator({(0, 0, 1, 0): coeff_vars(lambda r, t1, t2, t3: r)})
+    return A, B, C
+
+
+F_R3_SIN = fn_of(lambda r, t1, t2, t3: r * r * r * t2.sin())
+PRODUCT_POINTS = ((1.3, 0.4, 0.7, 0.9), (0.8, 0.2, 1.1, 0.5))
+
+
+def _assert_jet1(jet, value, d_r, d_t2):
+    """Value and the four first derivatives (d_t1 = d_t3 = 0) of an order-1 jet."""
+    assert jet.order == 1
+    got = [jet.value] + [jet.derivative(e) for e in
+                         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    for g, w in zip(got, (value, d_r, 0.0, d_t2, 0.0)):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+
+def test_product_value_and_first_derivatives():
+    A, B, _ = _abc()
+    op = A.compose(B)
+    for pt in PRODUCT_POINTS:
+        r, t2 = pt[0], pt[2]
+        s, c = math.sin(t2), math.cos(t2)
+        _assert_jet1(op.apply(F_R3_SIN, pt, 1),
+                     3 * (3 + t2) * r ** 4 * s,
+                     12 * (3 + t2) * r ** 3 * s,
+                     3 * r ** 4 * s + 3 * (3 + t2) * r ** 4 * c)
+
+
+def test_nested_product_is_associative():
+    A, B, C = _abc()
+    left = A.compose(B).compose(C)
+    right = A.compose(B.compose(C))
+    for pt in PRODUCT_POINTS:
+        r, t2 = pt[0], pt[2]
+        s, c = math.sin(t2), math.cos(t2)
+        want = (4 * (4 + t2) * r ** 5 * c,
+                20 * (4 + t2) * r ** 4 * c,
+                4 * r ** 5 * c - 4 * (4 + t2) * r ** 5 * s)
+        for op in (left, right):
+            _assert_jet1(op.apply(F_R3_SIN, pt, 1), *want)
+
+
+def test_scale_add_sub_mix_products_and_terms():
+    """2 (A B) + C - B C - (-A) on f, with A = r^2 d_r giving 3 r^4 sin t2:
+    6 (3 + t2) r^4 sin t2 + r^4 cos t2 - (4 + t2) r^4 cos t2 + 3 r^4 sin t2."""
+    A, B, C = _abc()
+    op = A.compose(B).scale(2) + C - B.compose(C) - (-A)
+    for pt in PRODUCT_POINTS:
+        r, t2 = pt[0], pt[2]
+        s, c = math.sin(t2), math.cos(t2)
+        value = (6 * (3 + t2) + 3) * r ** 4 * s - (3 + t2) * r ** 4 * c
+        d_t2 = (6 * r ** 4 * s + (6 * (3 + t2) + 3) * r ** 4 * c
+                - r ** 4 * c + (3 + t2) * r ** 4 * s)
+        _assert_jet1(op.apply(F_R3_SIN, pt, 1),
+                     value, 4 * value / r, d_t2)
+
+
+def test_max_order_of_products_and_sums():
+    A, B, C = _abc()
+    assert A.compose(B).max_order == 2
+    assert A.compose(B).compose(C).max_order == 3
+    assert (A.compose(B) + C).max_order == 2
+    d4 = DiffOperator({(0, 2, 2, 0): coeff_const(1)})
+    assert (A.compose(B) - d4).max_order == 4
+    assert identity_diffop().compose(identity_diffop()).max_order == 0
 
 
 # -- the nested tower -----------------------------------------------------------------
