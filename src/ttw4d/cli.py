@@ -14,13 +14,13 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .model import (QuantumState, SystemParams, degeneracy_classes,
-                    enumerate_states, parse_rational, parse_rational_list,
-                    spectral_chain)
+from .lattice import ChainBroken
+from .model import (SystemParams, degeneracy_classes, enumerate_states,
+                    parse_rational, spectral_chain)
 from .suites import RUNNERS, SUITE_DEFAULTS
 
 SUITE_ORDER = ("eigen", "ladders", "xi", "algebra", "m1",
@@ -43,8 +43,6 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     tol: Optional[float] = None
     convention: str = "auto"
-    report_path: Optional[str] = None
-    report_format: str = "json"
 
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
@@ -74,8 +72,11 @@ def _run_one(suite: str, config: SuiteConfig):
     nmax = config.nmax if config.nmax is not None else nmax_d
     pts = config.points if config.points is not None else pts_d
     tol = config.tol if config.tol is not None else tol_d
-    return RUNNERS[suite](config.params, nmax, pts, config.seed, tol,
-                          config.convention)
+    try:
+        return RUNNERS[suite](config.params, nmax, pts, config.seed, tol,
+                              config.convention)
+    except ChainBroken as exc:
+        return [{"id": f"ChainBroken: {exc}", "residual": 1.0, "pass": False}], {}
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -83,9 +84,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     params = config.params
     if params.omega is None:
         params = params.with_omega(Fraction(1))
-        config = SuiteConfig(config.suite, params, config.nmax, config.points,
-                             config.seed, config.tol, config.convention,
-                             config.report_path, config.report_format)
+        config = replace(config, params=params)
     t0 = time.perf_counter()
     cases = []
     conventions = {}
@@ -304,8 +303,7 @@ def cmd_verify(args) -> int:
     grid = _param_grid(kopt, aopt, omega)
     reports = []
     for params in grid:
-        config = SuiteConfig(suite, params, nmax, points, seed, tol,
-                             convention, report_path, fmt)
+        config = SuiteConfig(suite, params, nmax, points, seed, tol, convention)
         reports.append(run_suite(config))
 
     for rep in reports:

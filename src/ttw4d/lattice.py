@@ -9,10 +9,12 @@ The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
 generally leaves the separated basis (it shifts a parameter without
 re-deriving the chain).  The composites Xi_i^{+-} recombine steps so the
-final extended state is chain-consistent again; this is asserted on every
-application.  Below-lattice images (any n_i < 0) are dropped as zero — the
-printed lowering coefficients do not always vanish at the boundary, so all
-identity suites run on interior states with an explicit margin.
+final extended state is chain-consistent again with the source's energy;
+this is checked on every application, and a failure raises ChainBroken,
+which `ttw4d verify` reports as a failing case.  Below-lattice images
+(any n_i < 0) are dropped as zero — the printed lowering coefficients do
+not always vanish at the boundary, so all identity suites run on interior
+states with an explicit margin.
 
 Known defects of the printed source formulas (kept verbatim under
 variant="printed"/convention flags, with working corrected forms alongside):
@@ -37,12 +39,23 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .model import QuantumState, SystemParams, spectral_chain
+from .model import QuantumState, SystemParams, enumerate_states, spectral_chain
 from .numcore import OmegaPoly, multi_indices, pochhammer
 
 
 class DivisorSingular(ArithmeticError):
     """An A0-type divisor of a symmetry operator vanished at a source state."""
+
+
+class ChainBroken(ArithmeticError):
+    """An Xi image left the separated chain or changed the exact energy.
+
+    `witness` is (source state, i, sign, target state).
+    """
+
+    def __init__(self, what: str, state, i: int, sign: str, target):
+        super().__init__(f"Xi_{i}^{sign} {what} at {tuple(state)} -> {tuple(target)}")
+        self.witness = (state, i, sign, target)
 
 
 def _as_opoly(c) -> OmegaPoly:
@@ -364,9 +377,9 @@ def _xi_cached(params: SystemParams, i: int, sign: str, state: QuantumState) -> 
     # chain consistency: the advanced parameters must equal the re-derived chain
     ch = spectral_chain(params, target)
     if (ext.A0, ext.A1, ext.A2) != (ch.A0, ch.A1, ch.A2):
-        raise AssertionError(f"Xi_{i}^{sign} left the chain at {state} -> {target}")
+        raise ChainBroken("left the chain", state, i, sign, target)
     if ch.E != spectral_chain(params, state).E:
-        raise AssertionError(f"Xi_{i}^{sign} changed E at {state}")
+        raise ChainBroken("changed E", state, i, sign, target)
     return LatticeVector({target: acc})
 
 
@@ -374,8 +387,9 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
     """Exact action of the composite Xi_i^sign on a basis state.
 
     Composes the primitive ladders with per-step parameter advancement; the
-    image is a single basis state with the same exact energy (asserted), or
-    zero when any intermediate step leaves the lattice.
+    image is a single basis state with the same exact energy, or zero when
+    any intermediate step leaves the lattice.  An image off the chain or off
+    the energy raises ChainBroken.
     """
     if i not in (1, 2, 3):
         raise ValueError("i must be 1, 2 or 3")
@@ -396,33 +410,26 @@ def xi1_closed_form(sign: str, params: SystemParams, state,
     and times (-2)^{q1} (n0+1)_{p1} (n0+A0-p1+1)_{p1} / ((n0+p1)_{p1}
     (n0+A0)_{p1}) for the lowering branch; that radial ratio is 1 when p1 = 1.
     """
+    if variant not in ("printed", "composed"):
+        raise ValueError(f"unknown variant {variant!r}")
     state = QuantumState(*state)
     p1, q1 = params.pq1
     ch = spectral_chain(params, state)
     n0, n1 = state.n0, state.n1
     A0, A1, a1 = ch.A0, ch.A1, params.a1
+    scale = Fraction(-2) ** (p1 if variant == "printed" else p1 + q1)
     if sign == "+":
         base = pochhammer(Fraction(n1 + 1), q1) * pochhammer(n1 + A1 + a1 + 1, q1)
-        if variant == "printed":
-            scale = Fraction(-2) ** p1
-        elif variant == "composed":
-            scale = Fraction(-2) ** (p1 + q1)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
         return OmegaPoly.omega(p1, scale * base)
     if sign == "-":
         ang = pochhammer(-n1 - A1, q1) * pochhammer(-n1 - a1, q1)
         if variant == "printed":
             rad = pochhammer(Fraction(n0 + p1), p1) * pochhammer(n0 + A0, p1)
-            scale = Fraction(-2) ** p1
-        elif variant == "composed":
+        else:
             fall = Fraction(1)
             for j in range(p1):
                 fall *= (n0 + A0 - j)
             rad = pochhammer(Fraction(n0 + 1), p1) * fall
-            scale = Fraction(-2) ** (p1 + q1)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
         return OmegaPoly.omega(p1, scale * ang * rad)
     raise ValueError("sign must be '+' or '-'")
 
@@ -432,9 +439,12 @@ def xi1_closed_form(sign: str, params: SystemParams, state,
 # ---------------------------------------------------------------------------
 
 def _divisor_A(params: SystemParams, state: QuantumState, i: int) -> Fraction:
-    """A_{i-1} evaluated at the (source) state: A0, A1 or A2."""
+    """A_{i-1} evaluated at the (source) state: A0, A1 or A2; never zero."""
     ch = spectral_chain(params, state)
-    return (ch.A0, ch.A1, ch.A2)[i - 1]
+    A = (ch.A0, ch.A1, ch.A2)[i - 1]
+    if A == 0:
+        raise DivisorSingular(f"A_{i-1} = 0 at {state}")
+    return A
 
 
 def Lpm_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
@@ -449,10 +459,7 @@ def Lpm_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
     if sign == "+":
         return plus + minus
     if sign == "-":
-        A = _divisor_A(params, state, i)
-        if A == 0:
-            raise DivisorSingular(f"A_{i-1} = 0 at {state}")
-        return (plus - minus).scale(params.k(i) / A)
+        return (plus - minus).scale(params.k(i) / _divisor_A(params, state, i))
     raise ValueError("sign must be '+' or '-'")
 
 
@@ -478,8 +485,6 @@ def P_action(i: int, sign: str, params: SystemParams, state,
     if sign != "-":
         raise ValueError("sign must be '+' or '-'")
     A = _divisor_A(params, state, i)
-    if A == 0:
-        raise DivisorSingular(f"A_{i-1} = 0 at {state}")
     k = params.k(i)
     if convention == "printed":
         return (xp @ xm + xm @ xp)(state).scale(k / A)
@@ -544,16 +549,6 @@ def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOp
 ALPHA_PRINTED = (Fraction(1), Fraction(1, 4), Fraction(0))
 
 
-def _g_const(params: SystemParams, i: int) -> Fraction:
-    """g = k_{i-1} with k_0 := 1 (enters the corrected identity table)."""
-    return (Fraction(1), params.k1, params.k2)[i - 1]
-
-
-def _c_const(params: SystemParams, i: int) -> Fraction:
-    """c_i = (k1^2, k2^2/4, 0) (corrected analogue of alpha_i k_i^2)."""
-    return (params.k1 ** 2, params.k2 ** 2 / 4, Fraction(0))[i - 1]
-
-
 IDENTITY_KINDS = ("bracket-minus", "bracket-plus", "bracket-pm", "cubic",
                   "cross-commute")
 
@@ -563,9 +558,13 @@ def check_identity(i: int, which: str, params: SystemParams, state,
                    variant: str = "printed") -> LatticeVector:
     """Residual (LHS - RHS) of one structure identity applied to a state.
 
-    An empty vector means the identity holds exactly there.  variant
-    selects the printed constants or the corrected ones (see module
-    docstring); convention selects the P^(-) combination where it enters.
+    An empty vector means the identity holds exactly there.  Each identity
+    is written once; every variant-dependent scalar in it is a pair of the
+    typeset value (through alpha_i) and the corrected one (through
+    g = k_{i-1} with k_0 := 1, and c_i = (k1^2, k2^2/4, 0), the corrected
+    analogue of alpha_i k_i^2), and variant picks one side (see module
+    docstring).  convention selects the P^(-) combination under the printed
+    variant; the corrected one always uses the antisymmetric P^(-).
     cross-commute checks [L_j, L_i^s] = 0 for j != i and the full
     [L_j^s, L_i^t] = 0 family for |i-j| > 1, returning the first nonzero
     residual.
@@ -573,89 +572,57 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     state = QuantumState(*state)
     if which not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {which!r}")
-    k = params.k(i)
+    if which == "cross-commute":
+        for j in (1, 2, 3):
+            if j == i:
+                continue
+            Lj = l_operator(params, j)
+            for s in ("+", "-"):
+                r = commutator(Lj, lpm_operator(params, i, s))(state)
+                if not r.is_zero():
+                    return r
+            if abs(i - j) > 1:
+                for s in ("+", "-"):
+                    for t in ("+", "-"):
+                        r = commutator(lpm_operator(params, j, s),
+                                       lpm_operator(params, i, t))(state)
+                        if not r.is_zero():
+                            return r
+        return LatticeVector.zero()
+
+    if variant not in ("printed", "corrected"):
+        raise ValueError(f"unknown variant {variant!r}")
+    ksq = params.k(i) ** 2
     q = Fraction(params.pq(i)[1])
-    ksq = k * k
+    al = ALPHA_PRINTED[i - 1]
+    g = (Fraction(1), params.k1, params.k2)[i - 1]
+    c = (params.k1 ** 2, params.k2 ** 2 / 4, Fraction(0))[i - 1]
+    col = 0 if variant == "printed" else 1
     L = l_operator(params, i)
     Lp = lpm_operator(params, i, "+")
     Lm = lpm_operator(params, i, "-")
-
+    Pm = p_operator(params, i, "-",
+                    convention if variant == "printed" else "antisymmetric")
+    # each scalar is a (printed, corrected) pair, indexed by col
     if which == "bracket-minus":
-        if variant == "printed":
-            al = ALPHA_PRINTED[i - 1]
-            R = commutator(L, Lm) + (4 * ksq * q * q) * Lm + (4 * al * ksq * q) * Lp
-        elif variant == "corrected":
-            g = _g_const(params, i)
-            R = commutator(L, Lm) + (4 * ksq * q * q) * Lm + (4 * ksq * q * g) * Lp
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return R(state)
-
-    if which == "bracket-plus":
-        if variant == "printed":
-            R = (commutator(L, Lp) - (2 * q) * anticommutator(L, Lm)
-                 + (4 * ksq * q) * Lp - (4 * ksq * q * q) * Lm
-                 - (8 * q ** 3 * ksq) * Lm)
-        elif variant == "corrected":
-            g = _g_const(params, i)
-            c = _c_const(params, i)
-            R = (commutator(L, Lp) - (2 * q / g) * anticommutator(L, Lm)
-                 - (4 * ksq * q * q) * Lp
-                 - (4 * q / g) * (2 * ksq * q * q - c) * Lm)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return R(state)
-
-    if which == "bracket-pm":
-        Pm = p_operator(params, i, "-", convention)
-        if variant == "printed":
-            R = commutator(Lp, Lm) - (2 * q) * (Lm @ Lm) + 2 * Pm
-        elif variant == "corrected":
-            g = _g_const(params, i)
-            Pm = p_operator(params, i, "-", "antisymmetric")
-            R = commutator(Lp, Lm) - (2 * q / g) * (Lm @ Lm) + 2 * Pm
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return R(state)
-
-    if which == "cubic":
-        Pp = p_operator(params, i, "+")
-        T = symmetrized_triple(L, Lm, Lm)
-        if variant == "printed":
-            al = ALPHA_PRINTED[i - 1]
-            Pm = p_operator(params, i, "-", convention)
-            R = (T + (2 * ksq * (14 * q * q - 3 * al)) * (Lm @ Lm)
-                 + (6 * ksq) * (Lp @ Lp) + (6 * ksq * q) * anticommutator(Lp, Lm)
-                 - (12 * ksq) * Pp + (4 * ksq * q) * Pm)
-        elif variant == "corrected":
-            g = _g_const(params, i)
-            c = _c_const(params, i)
-            Pm = p_operator(params, i, "-", "antisymmetric")
-            R = (T + (28 * ksq * q * q - 6 * c) * (Lm @ Lm)
-                 + (6 * ksq * g * g) * (Lp @ Lp)
-                 + (6 * ksq * q * g) * anticommutator(Lp, Lm)
-                 - (12 * ksq * g * g) * Pp - (4 * ksq * q * g) * Pm)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return R(state)
-
-    # cross-commute
-    for j in (1, 2, 3):
-        if j == i:
-            continue
-        Lj = l_operator(params, j)
-        for s in ("+", "-"):
-            r = commutator(Lj, lpm_operator(params, i, s))(state)
-            if not r.is_zero():
-                return r
-        if abs(i - j) > 1:
-            for s in ("+", "-"):
-                for t in ("+", "-"):
-                    r = commutator(lpm_operator(params, j, s),
-                                   lpm_operator(params, i, t))(state)
-                    if not r.is_zero():
-                        return r
-    return LatticeVector.zero()
+        R = (commutator(L, Lm) + (4 * ksq * q * q) * Lm
+             + (4 * al * ksq * q, 4 * ksq * q * g)[col] * Lp)
+    elif which == "bracket-plus":
+        R = (commutator(L, Lp)
+             - (2 * q, 2 * q / g)[col] * anticommutator(L, Lm)
+             + (4 * ksq * q, -4 * ksq * q * q)[col] * Lp
+             + (-4 * ksq * q * q - 8 * q ** 3 * ksq,
+                -(4 * q / g) * (2 * ksq * q * q - c))[col] * Lm)
+    elif which == "bracket-pm":
+        R = commutator(Lp, Lm) - (2 * q, 2 * q / g)[col] * (Lm @ Lm) + 2 * Pm
+    else:
+        R = (symmetrized_triple(L, Lm, Lm)
+             + (2 * ksq * (14 * q * q - 3 * al), 28 * ksq * q * q - 6 * c)[col] * (Lm @ Lm)
+             + (6 * ksq, 6 * ksq * g * g)[col] * (Lp @ Lp)
+             + (6 * ksq * q, 6 * ksq * q * g)[col] * anticommutator(Lp, Lm)
+             - (12 * ksq, 12 * ksq * g * g)[col] * p_operator(params, i, "+")
+             + (4 * ksq * q, -4 * ksq * q * g)[col] * Pm)
+    return R(state)
 
 
 # ---------------------------------------------------------------------------
@@ -689,19 +656,29 @@ def identity_states(params: SystemParams, count: int = 20):
     return out
 
 
+def xi_sweep(params: SystemParams, nmax: int = 6):
+    """Apply every Xi_i^{+-} once to each state of the box n_i <= nmax.
+
+    Returns (images, broken): images maps (i, sign) to the number of
+    on-lattice images, each checked by xi_action for chain consistency and
+    exact energy; broken lists the witnesses (state, i, sign, target) of the
+    applications that raised ChainBroken, which are counted as images too.
+    """
+    images = {(i, sign): 0 for i in (1, 2, 3) for sign in ("+", "-")}
+    broken = []
+    for st in enumerate_states(nmax):
+        for i, sign in images:
+            try:
+                images[(i, sign)] += len(xi_action(i, sign, params, st))
+            except ChainBroken as exc:
+                images[(i, sign)] += 1
+                broken.append(exc.witness)
+    return images, broken
+
+
 def xi_class_check(params: SystemParams, nmax: int = 6):
-    """States whose Xi image leaves its exact E-class (expected: none)."""
-    bad = []
-    rng = range(nmax + 1)
-    for st in itertools.product(rng, rng, rng, rng):
-        st = QuantumState(*st)
-        E0 = spectral_chain(params, st).E
-        for i in (1, 2, 3):
-            for sign in ("+", "-"):
-                for tgt in xi_action(i, sign, params, st).states():
-                    if spectral_chain(params, tgt).E != E0:
-                        bad.append((st, i, sign, tgt))
-    return bad
+    """Witnesses (state, i, sign, target) of broken Xi images (expected: none)."""
+    return xi_sweep(params, nmax)[1]
 
 
 def window_independence(params: SystemParams, window_nmax: Optional[int] = None):
@@ -720,8 +697,7 @@ def window_independence(params: SystemParams, window_nmax: Optional[int] = None)
     if window_nmax is None:
         steps = [s for pq in (params.pq1, params.pq2, params.pq3) for s in pq]
         window_nmax = max(2, *steps)
-    rng = range(window_nmax + 1)
-    states = [QuantumState(*t) for t in itertools.product(rng, rng, rng, rng)]
+    states = list(enumerate_states(window_nmax))
     inside = set(states)
     ops = [("1", identity_operator()),
            ("H", h_operator(params)),

@@ -446,16 +446,10 @@ class Jet:
         a = float(alpha)
         c0 = self.value
         if a == round(a):
-            ai = int(round(a))
+            a = int(round(a))
             if c0 == 0.0:
                 raise ZeroDivisionError("jet power at zero constant term")
-            series = []
-            fall = 1.0
-            for m in range(self.order + 1):
-                series.append(fall / math.factorial(m) * c0 ** (ai - m))
-                fall *= (ai - m)
-            return self._compose(series)
-        if c0 <= 0.0:
+        elif c0 <= 0.0:
             raise ValueError("fractional jet power needs positive constant term")
         series = []
         fall = 1.0

@@ -5,7 +5,8 @@ nmax, point count, seed, tolerance, convention) and returns (cases,
 conventions): a list of case records in a fixed enumeration order plus a
 record of any convention choices that were made.  A case is a plain dict
 {"id", "residual", "pass"}; exact lattice checks report residual 0.0 or the
-magnitude of the offending coefficient at omega = 1.
+magnitude of the offending coefficient at omega = 1, and an Xi image that
+breaks the chain reports 1.0.
 
 Seeding is strict: the same (seed, knobs) always produces the same points
 and test functions, so reports are reproducible byte for byte.
@@ -18,15 +19,15 @@ from fractions import Fraction
 
 from . import geometry
 from .diffops import (build_example_L1plus, build_index_ladder,
-                      build_jacobi_ladder, build_radial_ladder, build_tower,
-                      coords, example211_scalar)
-from .lattice import (DivisorSingular, Lpm_action, M1_minus_action,
+                      build_jacobi_ladder, build_radial_ladder, coords,
+                      example211_scalar)
+from .lattice import (DivisorSingular, LatticeVector, Lpm_action,
                       check_identity, commutator, h_operator, identity_states,
-                      l_operator, ladder_action, lpm_operator,
-                      m1_minus_operator, window_independence, xi1_closed_form,
-                      xi_action)
+                      l_operator, ladder_action, m1_minus_operator,
+                      window_independence, xi1_closed_form, xi_action,
+                      xi_sweep)
 from .model import (QuantumState, SystemParams, enumerate_states,
-                    gauge_for_slot, in_cell, radial_factor, slot_factor,
+                    gauge_for_slot, radial_factor, slot_factor,
                     spectral_chain, wavefunction)
 from .numcore import Jet, opoly_eval
 
@@ -117,9 +118,8 @@ class _FactorCache:
     state grid drastically.
     """
 
-    def __init__(self, params: SystemParams, points):
+    def __init__(self, params: SystemParams):
         self.params = params
-        self.points = points
         self.cache = {}
 
     def triple(self, key, evaluator, x):
@@ -184,7 +184,7 @@ def eigen_residuals(params: SystemParams, state: QuantumState, points,
 
 def run_eigen(params, nmax, points_n, seed, tol, convention):
     pts = sample_points(params, points_n, seed)
-    cache = _FactorCache(params, pts)
+    cache = _FactorCache(params)
     cases = []
     for st in enumerate_states(nmax):
         res = eigen_residuals(params, st, pts, cache)
@@ -255,43 +255,21 @@ def run_ladders(params, nmax, points_n, seed, tol, convention):
 
 def run_xi(params, nmax, points_n, seed, tol, convention):
     variant = "printed" if convention == "printed" else "composed"
+    images, broken = xi_sweep(params, nmax)
     cases = []
-    rng = range(nmax + 1)
-    for i in (1, 2, 3):
-        for sign in ("+", "-"):
-            bad = 0.0
-            checked = 0
-            for n0 in rng:
-                for n1 in rng:
-                    for n2 in rng:
-                        for n3 in rng:
-                            st = QuantumState(n0, n1, n2, n3)
-                            E0 = spectral_chain(params, st).E
-                            for tgt in xi_action(i, sign, params, st).states():
-                                checked += 1
-                                if spectral_chain(params, tgt).E != E0:
-                                    d = E0 - spectral_chain(params, tgt).E
-                                    bad = max(bad, abs(float(opoly_eval(d, Fraction(1)))))
-            cases.append({"id": f"Xi{i}{sign} E-invariance ({checked} images)",
-                          "residual": bad, "pass": bad == 0.0})
+    for (i, sign), count in images.items():
+        ok = all((j, s) != (i, sign) for _, j, s, _ in broken)
+        cases.append({"id": f"Xi{i}{sign} E-invariance ({count} images)",
+                      "residual": 0.0 if ok else 1.0, "pass": ok})
     # closed form for Xi_1 against the composed coefficient
-    worst = 0.0
-    ok = True
-    ncf = 0
+    residuals = []
     for st in identity_states(params, 20):
         for sign in ("+", "-"):
-            vec = xi_action(1, sign, params, st)
-            if vec.is_zero():
-                continue
-            ((tgt, poly),) = vec.items()
-            want = xi1_closed_form(sign, params, st, variant=variant)
-            ncf += 1
-            if poly != want:
-                ok = False
-                diff = poly - want
-                worst = max(worst, abs(float(opoly_eval(diff, Fraction(1)))))
-    cases.append({"id": f"Xi1 closed form [{variant}] ({ncf} states)",
-                  "residual": 0.0 if ok else worst, "pass": ok})
+            for tgt, poly in xi_action(1, sign, params, st).items():
+                want = xi1_closed_form(sign, params, st, variant=variant)
+                residuals.append(LatticeVector.basis(tgt, poly - want))
+    cases.append(_exact_case(f"Xi1 closed form [{variant}] ({len(residuals)} states)",
+                             residuals))
     wind = window_independence(params)
     cases.append({"id": f"window independence rank {wind['rank']}/{wind['expected']}",
                   "residual": 0.0 if wind["independent"] else 1.0,
@@ -362,15 +340,14 @@ def run_m1(params, nmax, points_n, seed, tol, convention):
 # ---------------------------------------------------------------------------
 
 def run_curvature(params, nmax, points_n, seed, tol, convention):
-    import numpy as np
     pts = sample_points(params, points_n, seed)
     sym_tol = 1e-10
     worst_R = worst_W = worst_sym = worst_tr = worst_det = worst_flat = 0.0
     equal_k = params.k1 == params.k2
     for p in pts:
         rep = geometry.curvature_at(params, p)
-        worst_R = max(worst_R, _rel(rep.R - geometry.scalar_curvature_closed(params, p),
-                                    rep.R, geometry.scalar_curvature_closed(params, p), 1.0))
+        rref = geometry.scalar_curvature_closed(params, p)
+        worst_R = max(worst_R, _rel(rep.R - rref, rep.R, rref, 1.0))
         wref = geometry.weyl_invariant_closed(params, p)
         worst_W = max(worst_W, _rel(rep.W - wref, rep.W, wref, 1.0))
         if equal_k:

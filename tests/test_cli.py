@@ -1,9 +1,11 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from ttw4d import cli, suites
+from ttw4d import cli, lattice, suites
+from ttw4d.model import SystemParams
 
 
 def run_main(argv, capsys):
@@ -249,3 +251,34 @@ def test_full_battery_default_grid(tmp_path, capsys):
     has211 = [any(c["id"].startswith("example211:") for c in d["cases"])
               for d in docs]
     assert sum(has211) == 2  # k=(2,1,1) under both a-tuples
+
+
+# Kept after the battery: clearing the Xi cache leaves it cold, and the
+# battery's 60 s gate counts on the cache that the acceptance lines warmed.
+def test_broken_xi_reports_fail(tmp_path, capsys, monkeypatch):
+    """A ladder that leaves the chain gives a failing case, not a traceback."""
+    steps = lattice._xi_steps
+
+    def one_k0_step_too_many(params, i, sign):
+        extra = (("K0-", None),) if (i, sign) == (1, "+") else ()
+        return steps(params, i, sign) + extra
+
+    monkeypatch.setattr(lattice, "_xi_steps", one_k0_step_too_many)
+    lattice._xi_cached.cache_clear()
+    try:
+        rep = tmp_path / "xi.json"
+        code, out, _ = run_main(["verify", "--suite", "xi", "--k", "2,1,1",
+                                 "--report", str(rep)], capsys)
+        assert code == 1
+        assert "overall: FAIL" in out
+        docs = json.loads(rep.read_text())
+        assert len(docs) == len(cli.DEFAULT_A_GRID)
+        for doc in docs:
+            failing = [c["id"] for c in doc["cases"] if not c["pass"]]
+            assert failing and all("Xi_1^+" in cid for cid in failing), failing
+        p = SystemParams(2, 1, 1, *(Fraction(1, 2),) * 4)
+        witnesses = lattice.xi_class_check(p, nmax=3)
+        assert witnesses
+        assert all((i, sign) == (1, "+") for _, i, sign, _ in witnesses)
+    finally:
+        lattice._xi_cached.cache_clear()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,8 @@ from ttw4d.lattice import (
     xi_class_check,
     xi_operator,
 )
-from ttw4d.model import QuantumState, SystemParams, spectral_chain
+from ttw4d.cli import DEFAULT_A_GRID, DEFAULT_K_GRID
+from ttw4d.model import QuantumState, SystemParams, parse_rational, spectral_chain
 from ttw4d.numcore import OmegaPoly
 
 HALVES = (F(1, 2),) * 4
@@ -146,6 +148,42 @@ def test_xi2_shift_pattern():
     w = xi_action(2, "-", p, QuantumState(0, 2, 2, 0))
     ((tgt2, _),) = w.items()
     assert tgt2 == QuantumState(0, 3, 0, 0)
+
+
+def _xi_upper_coefficient(p, i, sign, n):
+    """Xi_i^sign coefficient (i = 2, 3) as the product of the printed steps.
+
+    Xi_i^+ is J+ q_i times on slot i, then K-a p_i times on slot i-1;
+    Xi_i^- is J- q_i times, then K+a p_i times.  The Jacobi parameters of
+    slot i are (A2, a2) or (a3, a4); slot i-1 starts at (A_{i-1}, a_{i-1})
+    and each K step shifts its first parameter by -+2.
+    """
+    ch = spectral_chain(p, n)
+    pi, qi = p.pq(i)
+    a, b = ((ch.A2, p.a2), (p.a3, p.a4))[i - 2]
+    A, b0 = ((ch.A1, p.a1), (ch.A2, p.a2))[i - 2]
+    ni, m = n[i], n[i - 1]
+    if sign == "+":
+        # J+ : -2 (n+1)(n+a+b+1), n+1;  K-a : 2 (n+a+b+1)(n+b), n-1, a+2
+        head = math.prod(-2 * (ni + j + 1) * (ni + j + a + b + 1) for j in range(qi))
+        tail = math.prod(2 * (m - j + A + 2 * j + b0 + 1) * (m - j + b0) for j in range(pi))
+    else:
+        # J- : -2 (n+a)(n+b), n-1;  K+a : 2 (n+1)(n+a), n+1, a-2
+        head = math.prod(-2 * (ni - j + a) * (ni - j + b) for j in range(qi))
+        tail = math.prod(2 * (m + j + 1) * (m + j + A - 2 * j) for j in range(pi))
+    return head * tail
+
+
+def test_xi2_xi3_coefficients_are_printed_step_products():
+    grid = [SystemParams(*map(parse_rational, k), *map(parse_rational, a))
+            for k in DEFAULT_K_GRID for a in DEFAULT_A_GRID]
+    for p in grid:
+        for st in identity_states(p, 20):
+            for i in (2, 3):
+                for sign in ("+", "-"):
+                    ((_, c),) = xi_action(i, sign, p, st).items()
+                    want = _xi_upper_coefficient(p, i, sign, st)
+                    assert c == OmegaPoly.const(want), (p, tuple(st), i, sign)
 
 
 def test_xi_preserves_energy_exactly():

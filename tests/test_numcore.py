@@ -230,6 +230,27 @@ def test_jet_derivative_is_factorial_times_coeff():
         f.derivative((5,))
 
 
+def test_jet_integer_power_of_negative_base():
+    x = Jet.variable((-1.5,), 0, 4)
+    f = x.power(-3)
+    # d^m/dx^m x^-3 = x^-3, -3 x^-4, 12 x^-5, -60 x^-6, 360 x^-7
+    want = [1, -3, 12, -60, 360]
+    for m, c in enumerate(want):
+        assert f.derivative((m,)) == pytest.approx(c * (-1.5) ** (-3 - m), rel=1e-14)
+    cube = x.power(3)
+    assert [cube.derivative((m,)) for m in range(5)] == pytest.approx(
+        [-3.375, 6.75, -9.0, 6.0, 0.0], rel=1e-14)
+
+
+def test_jet_power_guards():
+    with pytest.raises(ZeroDivisionError):
+        Jet.variable((0.0,), 0, 2).power(2)
+    with pytest.raises(ValueError):
+        Jet.variable((-1.0,), 0, 2).power(0.5)
+    with pytest.raises(ValueError):
+        Jet.variable((0.0,), 0, 2).power(1.5)
+
+
 def test_jet_derivative_jet_consistency():
     x = Jet.variable((0.8, 0.6), 0, 3)
     y = Jet.variable((0.8, 0.6), 1, 3)
