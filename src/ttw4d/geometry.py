@@ -207,22 +207,26 @@ def laplace_beltrami(params: SystemParams) -> DiffOperator:
     return DiffOperator(terms)
 
 
-def conformal_identity_check(params: SystemParams, p, f) -> float:
-    """Relative residual of H f = (lap + V0 - R/6 - W/24) f at a point.
+def conformal_identity_check(params: SystemParams, points, fns) -> list:
+    """Per function, the worst relative residual of H f = (lap + V0 - R/6 - W/24) f.
 
-    W enters signed: the quantum-corrected Hamiltonian uses
-    2(k1^2-k2^2)/(r^2 sin^2 k1 t1)/24, which equals the nonnegative
-    invariant for k1 >= k2 and its negative otherwise.
+    Curvature is computed once per point, H and lap once per call.  W enters
+    signed: the quantum-corrected Hamiltonian uses 2(k1^2-k2^2)/(r^2 sin^2 k1 t1)/24,
+    which is the invariant for k1 >= k2 and its negative otherwise.
     """
     if params.omega is None:
         raise ValueError("conformal check needs a fixed numeric omega")
-    p = tuple(float(x) for x in p)
-    rep = curvature_at(params, p)
-    wsigned = rep.W if params.k1 >= params.k2 else -rep.W
     lap = laplace_beltrami(params)
     H = build_h(params)
-    fval = f(p, 0).value
-    lhs = H.apply(f, p, 0).value
-    rhs = (lap.apply(f, p, 0).value
-           + (potential_v0(params, p) - rep.R / 6.0 - wsigned / 24.0) * fval)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+    residuals = [[] for _ in fns]
+    for p in points:
+        p = tuple(float(x) for x in p)
+        rep = curvature_at(params, p)
+        wsigned = rep.W if params.k1 >= params.k2 else -rep.W
+        scalar = potential_v0(params, p) - rep.R / 6.0 - wsigned / 24.0
+        for f, out in zip(fns, residuals):
+            fval = f(p, 0).value
+            lhs = H.apply(f, p, 0).value
+            rhs = lap.apply(f, p, 0).value + scalar * fval
+            out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+    return [max(out) for out in residuals]

@@ -40,10 +40,6 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
-def parse_rational_list(s: str) -> tuple:
-    return tuple(parse_rational(tok) for tok in s.split(","))
-
-
 class QuantumState(NamedTuple):
     n0: int
     n1: int

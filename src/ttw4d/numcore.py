@@ -9,8 +9,9 @@ Three layers live here:
   frequency symbol ``w`` over the rationals.  It is the coefficient ring of
   the lattice operator algebra (ladder coefficients carry powers of the
   oscillator frequency).
-* :class:`Jet` — a dense truncated Taylor expansion of a smooth function at
-  a point, closed under ring arithmetic and elementary-function
+* :class:`Jet` — a truncated Taylor expansion of a smooth function at a
+  point, stored as a flat float list with index tables cached per
+  (nvars, order), closed under ring arithmetic and elementary-function
   composition.  All numeric differentiation in the function-space checks
   goes through jets; there is no finite differencing outside the self-tests.
 """
@@ -193,7 +194,7 @@ def opoly_eval(p: OmegaPoly, omega) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense truncated multivariate jets
+# truncated multivariate jets on flat coefficient lists
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -213,38 +214,72 @@ def multi_indices(nvars: int, order: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _slot_of(nvars: int, order: int) -> dict:
+    """Multi-index -> slot; the index tables below are built on first use."""
+    return {mu: i for i, mu in enumerate(multi_indices(nvars, order))}
+
+
+@lru_cache(maxsize=None)
+def _products(nvars: int, order: int) -> tuple:
+    """Row j, entry i: slot of index i + index j; None past the order (a suffix)."""
+    idx = multi_indices(nvars, order)
+    slot = _slot_of(nvars, order)
+    return tuple(tuple(slot.get(tuple(a + b for a, b in zip(mu, nu))) for mu in idx)
+                 for nu in idx)
+
+
+@lru_cache(maxsize=None)
+def _shifts(nvars: int, order: int, mu: tuple) -> tuple:
+    """(slot of nu, slot of nu + mu, (nu+mu)!/nu!) for the jet of d^mu f."""
+    slot = _slot_of(nvars, order)
+    out = []
+    for j, nu in enumerate(multi_indices(nvars, order - sum(mu))):
+        fact = 1.0
+        for n, m in zip(nu, mu):
+            for t in range(n + 1, n + m + 1):
+                fact *= t
+        out.append((j, slot[tuple(n + m for n, m in zip(nu, mu))], fact))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _axis_slots(nvars: int, order: int, axis: int) -> tuple:
+    """Slot of d * e_axis for d = 0..order."""
+    slot = _slot_of(nvars, order)
+    return tuple(slot[tuple(d if j == axis else 0 for j in range(nvars))]
+                 for d in range(order + 1))
+
+
 def _scalar(x) -> float:
-    if isinstance(x, float):
+    if type(x) is float:
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, float, Fraction)):
         return float(x)
     raise TypeError(f"cannot use {type(x).__name__} as a jet scalar")
 
 
-class Jet:
-    """Dense truncated Taylor expansion at a base point.
+_set = object.__setattr__
 
-    ``coeffs`` maps every multi-index of total degree <= order to the Taylor
-    *coefficient* (not the derivative): f = sum c_mu (x-p)^mu.  The table is
-    dense — it has exactly C(order+nvars, nvars) entries — but arithmetic
-    skips zero entries.  nvars defaults to 4 (the model's coordinates); the
-    separable fast paths use nvars=1 jets and lift them.
+
+class Jet:
+    """Truncated Taylor expansion at a base point (a tuple of nvars floats).
+
+    ``coeffs`` is a flat list, never mutated, of the Taylor *coefficients*
+    (not derivatives) c_mu of f = sum c_mu (x-p)^mu, one per multi-index in
+    ``multi_indices(nvars, order)`` order, constant term first.  Products go
+    through the cached index-product table, ``derivative_jet`` and ``lift``
+    through cached shift maps, and ``truncated`` is a prefix slice, since the
+    order is graded.  Zero entries are skipped, so a zero result entry is
+    +0.0.  The separated factors are jets with nvars = 1, lifted to 4.
     """
 
-    __slots__ = ("base", "order", "nvars", "coeffs")
+    __slots__ = ("base", "order", "coeffs")
 
-    def __init__(self, base, order: int, coeffs=None):
-        base = tuple(float(b) for b in base)
-        nvars = len(base)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "nvars", nvars)
-        table = {mu: 0.0 for mu in multi_indices(nvars, order)}
-        if coeffs:
-            for mu, c in coeffs.items():
-                if sum(mu) <= order:
-                    table[mu] = float(c)
-        object.__setattr__(self, "coeffs", table)
+    def __init__(self, base: tuple, order: int, coeffs: list):
+        _set(self, "base", base)
+        _set(self, "order", order)
+        _set(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Jet is immutable")
@@ -252,24 +287,30 @@ class Jet:
     # -- constructors -------------------------------------------------------
     @classmethod
     def constant(cls, value, base, order: int):
-        z = (0,) * len(base)
-        return cls(base, order, {z: _scalar(value)})
+        base = tuple(map(float, base))
+        out = [0.0] * len(multi_indices(len(base), order))
+        out[0] = _scalar(value)
+        return cls(base, order, out)
 
     @classmethod
     def variable(cls, base, i: int, order: int):
         """The coordinate function x_i expanded at the base point."""
+        base = tuple(map(float, base))
         n = len(base)
-        z = (0,) * n
-        e = tuple(1 if j == i else 0 for j in range(n))
-        c = {z: float(base[i])}
+        out = [0.0] * len(multi_indices(n, order))
+        out[0] = base[i]
         if order >= 1:
-            c[e] = 1.0
-        return cls(base, order, c)
+            out[_axis_slots(n, order, i)[1]] = 1.0
+        return cls(base, order, out)
 
     # -- access --------------------------------------------------------------
     @property
     def value(self) -> float:
-        return self.coeffs[(0,) * self.nvars]
+        return self.coeffs[0]
+
+    def coeff(self, mu) -> float:
+        """The Taylor coefficient of (x-p)^mu."""
+        return self.coeffs[_slot_of(len(self.base), self.order)[tuple(mu)]]
 
     def derivative(self, mu) -> float:
         """The mixed partial d^mu f at the base point (mu! times coefficient)."""
@@ -279,45 +320,39 @@ class Jet:
         fact = 1
         for m in mu:
             fact *= math.factorial(m)
-        return fact * self.coeffs[mu]
+        return fact * self.coeff(mu)
 
     def derivative_jet(self, mu) -> "Jet":
         """The jet of d^mu f, of order (order - |mu|)."""
         mu = tuple(mu)
-        k = sum(mu)
-        if k > self.order:
+        new_order = self.order - sum(mu)
+        if new_order < 0:
             raise ValueError("jet order too low for requested derivative")
-        new_order = self.order - k
-        out = {}
-        for nu in multi_indices(self.nvars, new_order):
-            src = tuple(n + m for n, m in zip(nu, mu))
-            c = self.coeffs[src]
+        src = self.coeffs
+        out = [0.0] * len(multi_indices(len(self.base), new_order))
+        for j, i, fact in _shifts(len(self.base), self.order, mu):
+            c = src[i]
             if c:
-                fact = 1.0
-                for n, m in zip(nu, mu):
-                    # (n+m)! / n!
-                    for t in range(n + 1, n + m + 1):
-                        fact *= t
-                out[nu] = c * fact
+                out[j] = c * fact
         return Jet(self.base, new_order, out)
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
-        return Jet(self.base, order, {mu: c for mu, c in self.coeffs.items()
-                                      if sum(mu) <= order})
+        return Jet(self.base, order,
+                   self.coeffs[:len(multi_indices(len(self.base), order))])
 
     def lift(self, base4, axis: int) -> "Jet":
         """Embed a univariate jet as a jet in len(base4) variables on `axis`."""
-        if self.nvars != 1:
+        if len(self.base) != 1:
             raise ValueError("lift expects a univariate jet")
-        n = len(base4)
-        out = {}
-        for (d,), c in self.coeffs.items():
+        base4 = tuple(map(float, base4))
+        n, order = len(base4), self.order
+        out = [0.0] * len(multi_indices(n, order))
+        for j, c in zip(_axis_slots(n, order, axis), self.coeffs):
             if c:
-                mu = tuple(d if j == axis else 0 for j in range(n))
-                out[mu] = c
-        return Jet(base4, self.order, out)
+                out[j] = c
+        return Jet(base4, order, out)
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other: "Jet"):
@@ -327,25 +362,24 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            out = dict(self.coeffs)
-            for mu, c in other.coeffs.items():
+            out = self.coeffs.copy()
+            for i, c in enumerate(other.coeffs):
                 if c:
-                    out[mu] = out[mu] + c
+                    out[i] += c
             return Jet(self.base, self.order, out)
         try:
             s = _scalar(other)
         except TypeError:
             return NotImplemented
-        out = dict(self.coeffs)
-        z = (0,) * self.nvars
-        out[z] = out[z] + s
+        out = self.coeffs.copy()
+        out[0] += s
         return Jet(self.base, self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Jet(self.base, self.order,
-                   {mu: -c for mu, c in self.coeffs.items() if c})
+                   [-c if c else 0.0 for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -362,24 +396,24 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            order = self.order
-            out = {mu: 0.0 for mu in self.coeffs}
-            items = [(mu, sum(mu), c) for mu, c in self.coeffs.items() if c]
-            for nu, cb in other.coeffs.items():
-                if not cb:
-                    continue
-                dn = sum(nu)
-                for mu, dm, ca in items:
-                    if dm + dn <= order:
-                        key = tuple(a + b for a, b in zip(mu, nu))
-                        out[key] += ca * cb
-            return Jet(self.base, order, out)
+            rows = _products(len(self.base), self.order)
+            nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
+            out = [0.0] * len(rows)
+            for j, cb in enumerate(other.coeffs):
+                if cb:
+                    row = rows[j]
+                    for i, ca in nz:
+                        k = row[i]
+                        if k is None:
+                            break
+                        out[k] += ca * cb
+            return Jet(self.base, self.order, out)
         try:
             s = _scalar(other)
         except TypeError:
             return NotImplemented
         return Jet(self.base, self.order,
-                   {mu: c * s for mu, c in self.coeffs.items() if c})
+                   [c * s if c else 0.0 for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -462,40 +496,6 @@ class Jet:
         return self.power(0.5)
 
     def __repr__(self):
-        nz = {mu: c for mu, c in self.coeffs.items() if c}
+        nz = {mu: c for mu, c in zip(multi_indices(len(self.base), self.order), self.coeffs)
+              if c}
         return f"Jet(base={self.base}, order={self.order}, {nz})"
-
-
-# -- spec-surface wrappers ----------------------------------------------------
-
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Truncated Taylor arithmetic: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown jet op {op!r}")
-
-
-def jet_elementary(f: str, a: Jet, exponent=None) -> Jet:
-    """Compose an elementary function with a jet.
-
-    f in {'sin','cos','exp','log','power'}; 'power' takes the real exponent.
-    """
-    if f == "sin":
-        return a.sin()
-    if f == "cos":
-        return a.cos()
-    if f == "exp":
-        return a.exp()
-    if f == "log":
-        return a.log()
-    if f == "power":
-        if exponent is None:
-            raise ValueError("power needs an exponent")
-        return a.power(exponent)
-    raise ValueError(f"unknown elementary function {f!r}")

@@ -122,21 +122,20 @@ class _FactorCache:
         self.params = params
         self.cache = {}
 
-    def triple(self, key, evaluator, x):
+    def triple(self, key, x, factor, *args):
+        """Look up (key, x); only on a miss build factor(*args) and evaluate it."""
         got = self.cache.get((key, x))
         if got is None:
-            jet = evaluator(x, 2)
+            jet = factor(*args)(x, 2)
             got = (jet.value, jet.derivative((1,)), jet.derivative((2,)))
             self.cache[(key, x)] = got
         return got
 
     def radial(self, n0, A0, r):
-        ev = radial_factor(self.params.omega, n0, A0)
-        return self.triple(("r", n0, A0), ev, r)
+        return self.triple(("r", n0, A0), r, radial_factor, self.params.omega, n0, A0)
 
     def slot(self, slot, gauge, n, theta):
-        ev = slot_factor(gauge, n)
-        return self.triple((slot, n, gauge.a, gauge.b), ev, theta)
+        return self.triple((slot, n, gauge.a, gauge.b), theta, slot_factor, gauge, n)
 
 
 def eigen_residuals(params: SystemParams, state: QuantumState, points,
@@ -385,10 +384,9 @@ def run_curvature(params, nmax, points_n, seed, tol, convention):
 def run_conformal(params, nmax, points_n, seed, tol, convention):
     pts = sample_points(params, points_n, seed)
     fns = test_functions(10, seed + 1)
-    cases = []
-    for idx, f in enumerate(fns):
-        worst = max(geometry.conformal_identity_check(params, p, f) for p in pts)
-        cases.append(_case(f"conformal Hf identity, function {idx}", worst, tol))
+    worst = geometry.conformal_identity_check(params, pts, fns)
+    cases = [_case(f"conformal Hf identity, function {idx}", res, tol)
+             for idx, res in enumerate(worst)]
     return cases, {}
 
 

@@ -9,9 +9,15 @@ forms, evaluated term by term:
 
 The package implements both families via three-term recurrences, so agreement
 between the two routes is a meaningful cross-check rather than a tautology.
+
+The truncated Taylor (jet) arithmetic at the end is the reference for the
+package's flat jet core: dense dicts over graded multi-indices, with the loop
+and accumulation order that defines which float each coefficient is, so the
+two must agree bit for bit.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 
@@ -41,3 +47,58 @@ def laguerre_series(n: int, alpha, x) -> Fraction:
     for k in range(n + 1):
         total += (-1) ** k * binom_gen(n + alpha, n - k) * x**k / factorial(k)
     return total
+
+
+# -- dict-based jets ------------------------------------------------------------
+
+def graded_indices(nvars: int, order: int) -> list:
+    """Multi-indices of total degree <= order, by degree, then lexicographic."""
+    idx = [mu for mu in product(range(order + 1), repeat=nvars) if sum(mu) <= order]
+    return sorted(idx, key=lambda mu: (sum(mu), mu))
+
+
+def dict_jet(nvars: int, order: int, values) -> dict:
+    """Dense {multi-index: coefficient} table, values in graded order."""
+    return dict(zip(graded_indices(nvars, order), values))
+
+
+def dict_jet_add(a: dict, b: dict) -> dict:
+    """a + b, skipping the zero entries of b."""
+    out = dict(a)
+    for mu, c in b.items():
+        if c:
+            out[mu] = out[mu] + c
+    return out
+
+
+def dict_jet_add_scalar(a: dict, s: float) -> dict:
+    out = dict(a)
+    z = next(iter(a))
+    out[z] = out[z] + s
+    return out
+
+
+def dict_jet_mul(a: dict, b: dict, order: int) -> dict:
+    """a * b truncated at order: b's nonzero entries outside, a's inside."""
+    out = {mu: 0.0 for mu in a}
+    items = [(mu, sum(mu), c) for mu, c in a.items() if c]
+    for nu, cb in b.items():
+        if not cb:
+            continue
+        dn = sum(nu)
+        for mu, dm, ca in items:
+            if dm + dn <= order:
+                key = tuple(x + y for x, y in zip(mu, nu))
+                out[key] += ca * cb
+    return out
+
+
+def dict_jet_compose(a: dict, series, order: int) -> dict:
+    """sum_m series[m] * (a - a(0))^m by Horner, truncated at order."""
+    z = next(iter(a))
+    d = dict_jet_add_scalar(a, -a[z])
+    out = {mu: 0.0 for mu in a}
+    out[z] = float(series[-1])
+    for m in range(len(series) - 2, -1, -1):
+        out = dict_jet_add_scalar(dict_jet_mul(out, d, order), series[m])
+    return out

@@ -10,7 +10,6 @@ from ttw4d.diffops import (
     build_h,
     build_index_ladder,
     build_jacobi_ladder,
-    build_l1,
     build_l2,
     build_l3,
     build_radial_ladder,

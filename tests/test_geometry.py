@@ -214,7 +214,8 @@ def test_conformal_identity_on_eigenfunctions():
                   rng.uniform(0.2, 0.8) * math.pi / (2 * float(p.k1)),
                   rng.uniform(0.2, 0.8) * math.pi / (2 * float(p.k2)),
                   rng.uniform(0.2, 0.8) * math.pi / (2 * float(p.k3)))
-            assert conformal_identity_check(p, pt, psi) <= 1e-8
+            (res,) = conformal_identity_check(p, [pt], [psi])
+            assert res <= 1e-8
 
 
 def test_conformal_identity_on_generic_functions():
@@ -231,7 +232,8 @@ def test_conformal_identity_on_generic_functions():
 
         pt = (rng.uniform(0.7, 1.6), rng.uniform(0.15, 0.6),
               rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
-        assert conformal_identity_check(p, pt, f) <= 1e-8
+        (res,) = conformal_identity_check(p, [pt], [f])
+        assert res <= 1e-8
 
 
 def test_requires_cell_and_omega():
@@ -239,5 +241,5 @@ def test_requires_cell_and_omega():
     with pytest.raises(ValueError):
         curvature_at(p, (1.0, 1.2, 0.5, 0.5))  # k1*theta1 > pi/2
     with pytest.raises(ValueError):
-        conformal_identity_check(p, (1.0, 0.4, 0.5, 0.5),
-                                 lambda pt, o: Jet.constant(1.0, pt, o))
+        conformal_identity_check(p, [(1.0, 0.4, 0.5, 0.5)],
+                                 [lambda pt, o: Jet.constant(1.0, pt, o)])

@@ -12,7 +12,6 @@ from ttw4d.model import (
     gauge_for_slot,
     in_cell,
     parse_rational,
-    parse_rational_list,
     potential_v0,
     spectral_chain,
     wavefunction,
@@ -31,7 +30,6 @@ def test_parse_rational():
     assert parse_rational("3/2") == F(3, 2)
     assert parse_rational("2") == F(2)
     assert parse_rational(" 1/3 ") == F(1, 3)
-    assert parse_rational_list("2,1,1") == (F(2), F(1), F(1))
     with pytest.raises(ValueError):
         parse_rational("1.5.2")
     with pytest.raises(ValueError):

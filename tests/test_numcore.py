@@ -3,12 +3,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    dict_jet,
+    dict_jet_add,
+    dict_jet_add_scalar,
+    dict_jet_compose,
+    dict_jet_mul,
+)
 from ttw4d.numcore import (
     Jet,
     OmegaPoly,
-    jet_arith,
-    jet_elementary,
     multi_indices,
     opoly_eval,
     pochhammer,
@@ -116,25 +123,25 @@ def test_jet_table_is_dense():
 
 def test_jet_square_of_coordinate():
     x = Jet.variable((2.0,), 0, 2)
-    sq = jet_arith(x, x, "mul")
-    assert sq.coeffs[(0,)] == pytest.approx(4.0)
-    assert sq.coeffs[(1,)] == pytest.approx(4.0)
-    assert sq.coeffs[(2,)] == pytest.approx(1.0)
+    sq = x * x
+    assert sq.coeff((0,)) == pytest.approx(4.0)
+    assert sq.coeff((1,)) == pytest.approx(4.0)
+    assert sq.coeff((2,)) == pytest.approx(1.0)
 
 
 def test_jet_additive_inverse():
     x = Jet.variable((0.7, 1.3), 1, 3)
     f = x * x + 2.0
     g = f + (-f)
-    assert all(c == 0.0 for c in g.coeffs.values())
+    assert all(c == 0.0 for c in g.coeffs)
 
 
 def test_jet_reciprocal_geometric_series():
     x = Jet.variable((0.0,), 0, 2)
     r = (x + 1.0).reciprocal()
-    assert r.coeffs[(0,)] == pytest.approx(1.0)
-    assert r.coeffs[(1,)] == pytest.approx(-1.0)
-    assert r.coeffs[(2,)] == pytest.approx(1.0)
+    assert r.coeff((0,)) == pytest.approx(1.0)
+    assert r.coeff((1,)) == pytest.approx(-1.0)
+    assert r.coeff((2,)) == pytest.approx(1.0)
 
 
 def test_jet_div_matches_mul_by_reciprocal():
@@ -144,22 +151,22 @@ def test_jet_div_matches_mul_by_reciprocal():
     y = Jet.variable(base, 1, 3)
     num = x * y + 1.0
     den = y + 3.0
-    d1 = jet_arith(num, den, "div")
+    d1 = num / den
     d2 = num * den.reciprocal()
-    for mu in d1.coeffs:
-        assert d1.coeffs[mu] == pytest.approx(d2.coeffs[mu], abs=1e-14)
+    for mu in multi_indices(2, 3):
+        assert d1.coeff(mu) == pytest.approx(d2.coeff(mu), abs=1e-14)
 
 
 def test_jet_elementary_series():
     x = Jet.variable((0.0,), 0, 3)
-    s = jet_elementary("sin", x)
-    assert [s.coeffs[(k,)] for k in range(4)] == pytest.approx([0.0, 1.0, 0.0, -1 / 6])
-    e = jet_elementary("exp", x.truncated(2))
-    assert [e.coeffs[(k,)] for k in range(3)] == pytest.approx([1.0, 1.0, 0.5])
+    s = x.sin()
+    assert [s.coeff((k,)) for k in range(4)] == pytest.approx([0.0, 1.0, 0.0, -1 / 6])
+    e = x.truncated(2).exp()
+    assert [e.coeff((k,)) for k in range(3)] == pytest.approx([1.0, 1.0, 0.5])
     four = Jet.constant(4.0, (0.0,), 2)
-    root = jet_elementary("power", four, exponent=0.5)
+    root = four.power(0.5)
     assert root.value == pytest.approx(2.0)
-    assert root.coeffs[(1,)] == 0.0
+    assert root.coeff((1,)) == 0.0
 
 
 def test_jet_exp_log_roundtrip():
@@ -169,8 +176,8 @@ def test_jet_exp_log_roundtrip():
         x = Jet.variable(base, 0, 4)
         f = x * x + rng.uniform(0.5, 1.5)
         g = f.log().exp()
-        for mu in f.coeffs:
-            assert abs(g.coeffs[mu] - f.coeffs[mu]) <= 1e-12 * max(1.0, abs(f.coeffs[mu]))
+        for mu in multi_indices(1, 4):
+            assert abs(g.coeff(mu) - f.coeff(mu)) <= 1e-12 * max(1.0, abs(f.coeff(mu)))
 
 
 def test_jet_trig_identity():
@@ -179,9 +186,9 @@ def test_jet_trig_identity():
     f = x * y + 0.3
     one = f.sin() * f.sin() + f.cos() * f.cos()
     assert one.value == pytest.approx(1.0)
-    for mu, c in one.coeffs.items():
+    for mu in multi_indices(2, 3):
         if sum(mu):
-            assert c == pytest.approx(0.0, abs=1e-13)
+            assert one.coeff(mu) == pytest.approx(0.0, abs=1e-13)
 
 
 def _central_diff(fn, point, mu, h=1e-3):
@@ -280,3 +287,38 @@ def test_jet_mismatch_and_immutability():
         _ = a + b
     with pytest.raises(AttributeError):
         a.order = 3
+
+
+# -- flat core against the dict-based reference, bit for bit ---------------------
+
+_LAYOUTS = ((4, 2), (4, 5), (1, 5))
+_entry = st.one_of(st.just(0.0), st.just(-0.0),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _jet_pair(draw):
+    nvars, order = draw(st.sampled_from(_LAYOUTS))
+    size = math.comb(order + nvars, nvars)
+    a, b = (draw(st.lists(_entry, min_size=size, max_size=size)) for _ in range(2))
+    series = draw(st.lists(_entry, min_size=order + 1, max_size=order + 1))
+    return nvars, order, a, b, series
+
+
+def _bits(values):
+    """float.hex of each entry, so -0.0 and +0.0 differ."""
+    return [float.hex(c) for c in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jet_pair())
+def test_flat_jet_core_matches_dict_reference(case):
+    nvars, order, a, b, series = case
+    base = (0.5,) * nvars
+    ja, jb = Jet(base, order, a), Jet(base, order, b)
+    da, db = dict_jet(nvars, order, a), dict_jet(nvars, order, b)
+    assert _bits((ja * jb).coeffs) == _bits(dict_jet_mul(da, db, order).values())
+    assert _bits((ja + jb).coeffs) == _bits(dict_jet_add(da, db).values())
+    assert _bits((ja + series[0]).coeffs) == _bits(dict_jet_add_scalar(da, series[0]).values())
+    assert _bits(ja._compose(series).coeffs) == _bits(
+        dict_jet_compose(da, series, order).values())
