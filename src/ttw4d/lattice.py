@@ -8,9 +8,14 @@ the symmetrized triple product.  The coefficient ring is Q[w] (OmegaPoly).
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
 generally leaves the separated basis (it shifts a parameter without
-re-deriving the chain).  The composites Xi_i^{+-} recombine steps so the
+re-deriving the chain).  The state is kept in integers, scaled by the
+common denominator D of the parameter set (model.SystemParams): it is
+(n0..n3, D·A0, D·A1, D·A2), and each step returns an integer factor with
+a power of D and a power of w, so an Xi image costs integer products and
+one Fraction at the end.  The composites Xi_i^{+-} recombine steps so the
 final extended state is chain-consistent again with the source's energy;
-this is checked on every application, and a failure raises ChainBroken,
+this is checked on every application, against the target's integer chain
+(model.scaled_chain), and a failure raises ChainBroken,
 which `ttw4d verify` reports as a failing case.  Below-lattice images
 (any n_i < 0) are dropped as zero — the printed lowering coefficients do
 not always vanish at the boundary, so all identity suites run on interior
@@ -37,9 +42,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .model import QuantumState, SystemParams, enumerate_states, spectral_chain
+from .model import (QuantumState, SystemParams, enumerate_states, scaled_chain,
+                    spectral_chain)
 from .numcore import OmegaPoly, multi_indices, pochhammer
 
 
@@ -232,45 +238,19 @@ def l_operator(params: SystemParams, i: int) -> LatticeOperator:
 
 
 # ---------------------------------------------------------------------------
-# primitive ladder steps on extended states
+# primitive ladder steps on integer states
 # ---------------------------------------------------------------------------
 
-class ExtState(NamedTuple):
-    """Quantum numbers plus the shiftable chain parameters.
+def _step(params: SystemParams, st: list, kind: str, slot: Optional[int]):
+    """Apply one primitive ladder step to the integer state st in place.
 
-    A single ladder step moves one n and possibly one parameter; only the
-    full Xi composites return to chain-consistent parameter values.
-    """
-    n0: int
-    n1: int
-    n2: int
-    n3: int
-    A0: Fraction
-    A1: Fraction
-    A2: Fraction
-
-
-def _chain_ext(params: SystemParams, state: QuantumState) -> ExtState:
-    ch = spectral_chain(params, state)
-    return ExtState(*state, ch.A0, ch.A1, ch.A2)
-
-
-def _slot_ab(params: SystemParams, ext: ExtState, slot: int):
-    """Current Jacobi parameters (alpha, beta) of an angular slot."""
-    if slot == 1:
-        return ext.A1, params.a1
-    if slot == 2:
-        return ext.A2, params.a2
-    if slot == 3:
-        return params.a3, params.a4
-    raise ValueError("slot must be 1, 2 or 3")
-
-
-def _step(params: SystemParams, ext: ExtState, kind: str, slot: Optional[int]):
-    """Apply one primitive ladder step.
-
-    Returns (coefficient, new ExtState), or None when the image falls below
-    the lattice (dropped as zero).  Coefficients follow the printed actions:
+    st is [n0, n1, n2, n3, D·A0, D·A1, D·A2] with D = params.D; a single
+    step moves one n and possibly one parameter, and only the full Xi
+    composites return to chain-consistent parameter values.  Returns
+    (f, d, m) for the coefficient f w^m / D^d, or None (st untouched) when
+    the image falls below the lattice (dropped as zero).  In slot s the
+    Jacobi parameters are (a, b) = (A1, a1), (A2, a2), (a3, a4); the
+    coefficients follow the printed actions:
         K0+ : -2w (n0+1)(n0+A0),      n0+1, A0-2
         K0- : -2w,                    n0-1, A0+2
         J+  : -2 (n+1)(n+a+b+1),      n+1
@@ -278,39 +258,52 @@ def _step(params: SystemParams, ext: ExtState, kind: str, slot: Optional[int]):
         K+a :  2 (n+1)(n+a),          n+1, a-2
         K-a :  2 (n+a+b+1)(n+b),      n-1, a+2
     """
+    D = params.D
     if kind == "K0+":
-        coeff = OmegaPoly.omega(1, -2 * (ext.n0 + 1) * (ext.n0 + ext.A0))
-        return coeff, ext._replace(n0=ext.n0 + 1, A0=ext.A0 - 2)
+        n, dA = st[0], st[4]
+        st[0], st[4] = n + 1, dA - 2 * D
+        return -2 * (n + 1) * (D * n + dA), 1, 1
     if kind == "K0-":
-        if ext.n0 - 1 < 0:
+        if st[0] == 0:
             return None
-        return OmegaPoly.omega(1, -2), ext._replace(n0=ext.n0 - 1, A0=ext.A0 + 2)
-
-    a, b = _slot_ab(params, ext, slot)
-    nfield = f"n{slot}"
-    n = getattr(ext, nfield)
+        st[0], st[4] = st[0] - 1, st[4] + 2 * D
+        return -2, 0, 1
+    if slot not in (1, 2, 3):
+        raise ValueError("slot must be 1, 2 or 3")
+    n = st[slot]
+    Da = params.Da
+    dn, da, db = D * n, (st[5], st[6], Da[2])[slot - 1], Da[(0, 1, 3)[slot - 1]]
     if kind == "J+":
-        coeff = -2 * (n + 1) * (n + a + b + 1)
-        return _as_opoly(coeff), ext._replace(**{nfield: n + 1})
-    if kind == "J-":
-        if n - 1 < 0:
-            return None
-        return _as_opoly(-2 * (n + a) * (n + b)), ext._replace(**{nfield: n - 1})
+        st[slot] = n + 1
+        return -2 * (n + 1) * (dn + da + db + D), 1, 0
     if kind == "K+a":
-        coeff = 2 * (n + 1) * (n + a)
-        new = {nfield: n + 1}
-        if slot in (1, 2):
-            new[f"A{slot}"] = a - 2
-        return _as_opoly(coeff), ext._replace(**new)
-    if kind == "K-a":
-        if n - 1 < 0:
+        st[slot] = n + 1
+        if slot < 3:
+            st[4 + slot] = da - 2 * D
+        return 2 * (n + 1) * (dn + da), 1, 0
+    if kind not in ("J-", "K-a"):
+        raise ValueError(f"unknown ladder kind {kind!r}")
+    if n == 0:
+        return None
+    st[slot] = n - 1
+    if kind == "J-":
+        return -2 * (dn + da) * (dn + db), 2, 0
+    if slot < 3:
+        st[4 + slot] = da + 2 * D
+    return 2 * (dn + da + db + D) * (dn + db), 2, 0
+
+
+def _walk(params: SystemParams, st: list, steps) -> Optional[OmegaPoly]:
+    """Apply steps to the integer state st in place; the product of their
+    coefficients, or None when an image falls below the lattice."""
+    num, dpow, wpow = 1, 0, 0
+    for kind, slot in steps:
+        hit = _step(params, st, kind, slot)
+        if hit is None:
             return None
-        coeff = 2 * (n + a + b + 1) * (n + b)
-        new = {nfield: n - 1}
-        if slot in (1, 2):
-            new[f"A{slot}"] = a + 2
-        return _as_opoly(coeff), ext._replace(**new)
-    raise ValueError(f"unknown ladder kind {kind!r}")
+        f, d, m = hit
+        num, dpow, wpow = num * f, dpow + d, wpow + m
+    return OmegaPoly.omega(wpow, Fraction(num, params.D ** dpow))
 
 
 _LADDER_KINDS = ("K0+", "K0-", "J+", "J-", "K+a", "K-a")
@@ -331,12 +324,11 @@ def ladder_action(kind: str, params: SystemParams, state, slot: Optional[int] = 
             raise ValueError("radial ladders take no slot")
     elif slot not in (1, 2, 3):
         raise ValueError(f"{kind} needs slot in 1..3")
-    ext = _chain_ext(params, QuantumState(*state))
-    hit = _step(params, ext, kind, slot)
-    if hit is None:
+    st = [*state, *scaled_chain(params, state)[:3]]
+    coeff = _walk(params, st, ((kind, slot),))
+    if coeff is None:
         return LatticeVector.zero()
-    coeff, new = hit
-    return LatticeVector({QuantumState(new.n0, new.n1, new.n2, new.n3): coeff})
+    return LatticeVector({QuantumState(*st[:4]): coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +357,19 @@ def _xi_steps(params: SystemParams, i: int, sign: str):
 
 @lru_cache(maxsize=262144)
 def _xi_cached(params: SystemParams, i: int, sign: str, state: QuantumState) -> LatticeVector:
-    ext = _chain_ext(params, state)
-    acc = OmegaPoly.const(1)
-    for kind, slot in _xi_steps(params, i, sign):
-        hit = _step(params, ext, kind, slot)
-        if hit is None:
-            return LatticeVector.zero()
-        coeff, ext = hit
-        acc = acc * coeff
-    target = QuantumState(ext.n0, ext.n1, ext.n2, ext.n3)
-    # chain consistency: the advanced parameters must equal the re-derived chain
-    ch = spectral_chain(params, target)
-    if (ext.A0, ext.A1, ext.A2) != (ch.A0, ch.A1, ch.A2):
+    src = scaled_chain(params, state)
+    st = [*state, *src[:3]]
+    coeff = _walk(params, st, _xi_steps(params, i, sign))
+    if coeff is None:
+        return LatticeVector.zero()
+    target = QuantumState(*st[:4])
+    # chain consistency: the advanced D·A must equal the target's integer chain
+    tgt = scaled_chain(params, target)
+    if tuple(st[4:]) != tgt[:3]:
         raise ChainBroken("left the chain", state, i, sign, target)
-    if ch.E != spectral_chain(params, state).E:
+    if tgt[3] != src[3]:
         raise ChainBroken("changed E", state, i, sign, target)
-    return LatticeVector({target: acc})
+    return LatticeVector({target: coeff})
 
 
 def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:

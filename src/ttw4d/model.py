@@ -5,7 +5,9 @@ The model is a 4D quantum oscillator-type system on coordinates
 four positive rational potential parameters a1..a4.  Separation of
 variables produces a chain of derived parameters A2 -> A1 -> A0 and
 separation constants ell3, ell2, ell1 together with the energy E, all exact
-rationals (E an exact polynomial in the frequency w).
+rationals (E an exact polynomial in the frequency w).  A0, A1, A2 and E/w
+are affine in the quantum numbers; SystemParams keeps them as integer forms
+scaled by one common denominator D, and `scaled_chain` evaluates them.
 
 Conventions:
 
@@ -47,18 +49,18 @@ class QuantumState(NamedTuple):
     n3: int
 
 
-def _ratio_parts(x: Fraction):
-    return x.numerator, x.denominator
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Exact model parameters.
 
     k1, k2, k3 — positive rational frequency ratios; a1..a4 — positive
     rational potential parameters; omega — None for formal w, or a fixed
-    positive rational.  The coupling constants beta_i and the reduced ratio
-    decompositions p_i/q_i are derived, never stored.
+    positive rational.  The coupling constants beta_i are derived, never
+    stored.  Built once per instance: the reduced ratios pq1..pq3 (k1 = p1/q1,
+    k2/k1 = p2/q2, k3/k2 = p3/q3) and the integer chain.  A0, A1, A2 are
+    affine in (n0..n3) with rational coefficients; D is the lcm of their
+    denominators and of the a_i's, so the D·A_j are integer affine forms
+    (evaluated by `scaled_chain`) and Da = (D·a1, ..., D·a4) are integers.
     """
     k1: Fraction
     k2: Fraction
@@ -81,26 +83,32 @@ class SystemParams:
                 object.__setattr__(self, "omega", Fraction(self.omega))
             if self.omega <= 0:
                 raise ValueError("omega must be positive when fixed")
+        k1, k2, k3, a1, a2, a3, a4 = (self.k1, self.k2, self.k3,
+                                      self.a1, self.a2, self.a3, self.a4)
         # the lru_caches in model/lattice hash the parameters on every lookup
-        object.__setattr__(self, "_hash", hash(
-            (self.k1, self.k2, self.k3, self.a1, self.a2, self.a3, self.a4,
-             self.omega)))
+        object.__setattr__(self, "_hash", hash((k1, k2, k3, a1, a2, a3, a4, self.omega)))
+        for name, x in (("pq1", k1), ("pq2", k2 / k1), ("pq3", k3 / k2)):
+            object.__setattr__(self, name, (x.numerator, x.denominator))
+        # affine forms (const, n1, n2, n3) of the chain A2 -> A1 -> A0 (A1 has
+        # no n1 term, A2 only an n3 term), and (const, n0, n1, n2, n3) of the
+        # expanded energy coefficient
+        A2 = (k3 / k2 * (a3 + a4 + 1), 0, 0, 2 * k3 / k2)
+        A1 = tuple(k2 / k1 * (x + y) for x, y in zip(A2, (a2 + 1, 0, 2, 0)))
+        A0 = tuple(k1 * (x + y) for x, y in zip(A1, (a1 + 1, 2, 0, 0)))
+        Ex = (-2 * (k1 * a1 + k2 * a2 + k3 * a3 + k3 * a4 + k1 + k2 + k3 + 1),
+              -4, -4 * k1, -4 * k2, -4 * k3)
+        D = math.lcm(*(Fraction(x).denominator for f in (A0, A1, A2, Ex) for x in f),
+                     a1.denominator, a2.denominator, a3.denominator, a4.denominator)
+
+        def scaled(xs):
+            return tuple((D * Fraction(x)).numerator for x in xs)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "Da", scaled((a1, a2, a3, a4)))
+        object.__setattr__(self, "_chain", (scaled(A0), scaled(A1), scaled(A2)))
+        object.__setattr__(self, "_energy", scaled(Ex))
 
     def __hash__(self):
         return self._hash
-
-    # reduced ratio decompositions: k1 = p1/q1, k2/k1 = p2/q2, k3/k2 = p3/q3
-    @property
-    def pq1(self):
-        return _ratio_parts(self.k1)
-
-    @property
-    def pq2(self):
-        return _ratio_parts(self.k2 / self.k1)
-
-    @property
-    def pq3(self):
-        return _ratio_parts(self.k3 / self.k2)
 
     def pq(self, i: int):
         return (self.pq1, self.pq2, self.pq3)[i - 1]
@@ -144,34 +152,42 @@ class SpectralData:
     E: OmegaPoly  # degree 1 in w
 
 
+def scaled_chain(params: SystemParams, state):
+    """Integer chain (D·A0, D·A1, D·A2, D·E/w) of a lattice state.
+
+    E/w = -(4 n0 + 2 A0 + 2) is taken through the A0 form; D = params.D.
+    """
+    if min(state) < 0:
+        raise ValueError("quantum numbers must be >= 0")
+    n0, n1, n2, n3 = state
+    (c0, x1, x2, x3), (c1, _, y2, y3), (c2, _, _, z3) = params._chain
+    dA0 = c0 + x1 * n1 + x2 * n2 + x3 * n3
+    D = params.D
+    return dA0, c1 + y2 * n2 + y3 * n3, c2 + z3 * n3, -2 * (2 * n0 * D + dA0 + D)
+
+
 @lru_cache(maxsize=65536)
 def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     """Derived parameter chain and energy for a lattice state.
 
-    The energy is computed twice — through A0 and through its fully
-    expanded linear form — and the two are asserted equal (exact).
+    A0..A2 and E come from the integer chain.  The energy is computed twice
+    — through A0 and through its fully expanded linear form — and the two
+    are asserted equal (exact, in integers).
     """
     state = QuantumState(*state)
     n0, n1, n2, n3 = state
-    if min(state) < 0:
-        raise ValueError("quantum numbers must be >= 0")
+    dA0, dA1, dA2, dE = scaled_chain(params, state)
+    c, e0, e1, e2, e3 = params._energy
+    if dE != c + e0 * n0 + e1 * n1 + e2 * n2 + e3 * n3:
+        raise AssertionError("energy chain inconsistency (A0 form vs expanded form)")
+    D = params.D
     k1, k2, k3 = params.k1, params.k2, params.k3
-    a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
-
-    A2 = (k3 / k2) * (2 * n3 + a3 + a4 + 1)
-    A1 = (k2 / k1) * (2 * n2 + A2 + a2 + 1)
-    A0 = k1 * (2 * n1 + a1 + A1 + 1)
+    a2, a3, a4 = params.a2, params.a3, params.a4
+    A2, A1, A0 = Fraction(dA2, D), Fraction(dA1, D), Fraction(dA0, D)
     ell3 = -k3 ** 2 * (2 * n3 + a3 + a4 + 1) ** 2
     ell2 = k2 ** 2 * Fraction(1, 4) - k2 ** 2 * (2 * n2 + a2 + A2 + 1) ** 2
     ell1 = k1 ** 2 - A0 ** 2
-    E = OmegaPoly((0, -(4 * n0 + 2 * A0 + 2)))
-
-    expanded = -2 * (2 * n0 + 2 * k1 * n1 + 2 * k2 * n2 + 2 * k3 * n3
-                     + k1 * a1 + k2 * a2 + k3 * a3 + k3 * a4
-                     + k1 + k2 + k3 + 1)
-    if E != OmegaPoly((0, expanded)):
-        raise AssertionError("energy chain inconsistency (A0 form vs expanded form)")
-    return SpectralData(A2, A1, A0, ell3, ell2, ell1, E)
+    return SpectralData(A2, A1, A0, ell3, ell2, ell1, OmegaPoly((0, Fraction(dE, D))))
 
 
 @dataclass(frozen=True)

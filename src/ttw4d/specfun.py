@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,17 @@ class JacobiSpec:
     n: int
     a: Fraction
     b: Fraction
+
+    @cached_property
+    def recurrence(self):
+        """(c1, c2, c3, c4) of each degree step m = 2..n, built on first use."""
+        a, b = self.a, self.b
+        out = []
+        for m in range(2, self.n + 1):
+            s = 2 * m + a + b
+            out.append((2 * m * (m + a + b) * (s - 2), (s - 1) * (a * a - b * b),
+                        (s - 1) * s * (s - 2), 2 * (m + a - 1) * (m + b - 1) * s))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -42,12 +54,7 @@ def jacobi_eval(spec: JacobiSpec, x):
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
     p_prev = 1  # P_0
     p_cur = Fraction(a - b, 2) + Fraction(a + b + 2, 2) * x
-    for m in range(2, n + 1):
-        s = 2 * m + a + b
-        c1 = 2 * m * (m + a + b) * (s - 2)
-        c2 = (s - 1) * (a * a - b * b)
-        c3 = (s - 1) * s * (s - 2)
-        c4 = 2 * (m + a - 1) * (m + b - 1) * s
+    for c1, c2, c3, c4 in spec.recurrence:
         p_next = (c2 * p_cur + c3 * (x * p_cur) - c4 * p_prev) / c1
         p_prev, p_cur = p_cur, p_next
     return p_cur

@@ -94,9 +94,9 @@ def test_functions(count: int, seed: int):
         shift = rng.uniform(1.2, 2.0)
 
         def f(p, o, c0=c0, c2=c2, gam=gam, picks=picks, shift=shift):
-            r, *_ = coords(p, o)
-            out = (r * c2 + c0) * (r * r * (-gam)).exp()
             cs = coords(p, o)
+            r = cs[0]
+            out = (r * c2 + c0) * (r * r * (-gam)).exp()
             for axis, w, use_sin in picks:
                 t = cs[axis] * w
                 out = out * (t.sin() if use_sin else t.cos())

@@ -10,6 +10,11 @@ forms, evaluated term by term:
 The package implements both families via three-term recurrences, so agreement
 between the two routes is a meaningful cross-check rather than a tautology.
 
+The Fraction spectral chain and ladder-step walker are the reference for the
+package's scaled-integer lattice kernel: the nested chain A2 -> A1 -> A0 and
+the printed one-step actions on states that carry (A0, A1, A2), composed
+step by step in exact rationals.
+
 The truncated Taylor (jet) arithmetic at the end is the reference for the
 package's flat jet core: dense dicts over graded multi-indices, with the loop
 and accumulation order that defines which float each coefficient is, so the
@@ -47,6 +52,87 @@ def laguerre_series(n: int, alpha, x) -> Fraction:
     for k in range(n + 1):
         total += (-1) ** k * binom_gen(n + alpha, n - k) * x**k / factorial(k)
     return total
+
+
+# -- Fraction spectral chain and ladder steps -----------------------------------
+
+def chain_reference(k, a, state):
+    """(A0, A1, A2, ell1, ell2, ell3, E/w) of a state, from the nested chain."""
+    k1, k2, k3 = (Fraction(x) for x in k)
+    a1, a2, a3, a4 = (Fraction(x) for x in a)
+    n0, n1, n2, n3 = state
+    A2 = (k3 / k2) * (2 * n3 + a3 + a4 + 1)
+    A1 = (k2 / k1) * (2 * n2 + A2 + a2 + 1)
+    A0 = k1 * (2 * n1 + a1 + A1 + 1)
+    ell3 = -k3**2 * (2 * n3 + a3 + a4 + 1) ** 2
+    ell2 = k2**2 / 4 - k2**2 * (2 * n2 + a2 + A2 + 1) ** 2
+    ell1 = k1**2 - A0**2
+    return A0, A1, A2, ell1, ell2, ell3, -(4 * n0 + 2 * A0 + 2)
+
+
+def ladder_step_reference(a, ext, kind, slot):
+    """One printed step on ext = [n0, n1, n2, n3, A0, A1, A2].
+
+    Returns (c, m, new ext) for the coefficient c w^m, or None below the lattice.
+    """
+    ext = list(ext)
+    if kind in ("K0+", "K0-"):
+        n0, A0 = ext[0], ext[4]
+        if kind == "K0+":
+            ext[0], ext[4] = n0 + 1, A0 - 2
+            return -2 * (n0 + 1) * (n0 + A0), 1, ext
+        if n0 == 0:
+            return None
+        ext[0], ext[4] = n0 - 1, A0 + 2
+        return Fraction(-2), 1, ext
+    n = ext[slot]
+    al, be = {1: (ext[5], a[0]), 2: (ext[6], a[1]), 3: (a[2], a[3])}[slot]
+    if kind in ("J-", "K-a") and n == 0:
+        return None
+    if kind == "J+":
+        ext[slot] = n + 1
+        return -2 * (n + 1) * (n + al + be + 1), 0, ext
+    if kind == "J-":
+        ext[slot] = n - 1
+        return -2 * (n + al) * (n + be), 0, ext
+    shift = 1 if kind == "K+a" else -1
+    ext[slot] = n + shift
+    if slot < 3:
+        ext[4 + slot] = al - 2 * shift
+    if kind == "K+a":
+        return 2 * (n + 1) * (n + al), 0, ext
+    return 2 * (n + al + be + 1) * (n + be), 0, ext
+
+
+def xi_steps_reference(k, i: int, sign: str):
+    """Xi_i^sign: J+- on slot i q_i times, then K0-+ (i = 1) or K-+a on slot
+    i-1 p_i times, where p_i/q_i is k1, k2/k1 or k3/k2 in lowest terms."""
+    k1, k2, k3 = (Fraction(x) for x in k)
+    r = (k1, k2 / k1, k3 / k2)[i - 1]
+    head = ("J+" if sign == "+" else "J-", i)
+    if i == 1:
+        tail = ("K0-" if sign == "+" else "K0+", None)
+    else:
+        tail = ("K-a" if sign == "+" else "K+a", i - 1)
+    return [head] * r.denominator + [tail] * r.numerator
+
+
+def walk_reference(a, ext, steps):
+    """Steps applied in order to ext = [n0, n1, n2, n3, A0, A1, A2], each with
+    the parameters the previous ones advanced.
+
+    Returns (target state, advanced (A0, A1, A2), c, m) for the coefficient
+    c w^m, or None when a step falls below the lattice.
+    """
+    a = [Fraction(x) for x in a]
+    c, m = Fraction(1), 0
+    for kind, slot in steps:
+        hit = ladder_step_reference(a, ext, kind, slot)
+        if hit is None:
+            return None
+        f, dm, ext = hit
+        c, m = c * f, m + dm
+    return tuple(ext[:4]), tuple(ext[4:]), c, m
 
 
 # -- dict-based jets ------------------------------------------------------------

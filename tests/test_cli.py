@@ -253,8 +253,9 @@ def test_full_battery_default_grid(tmp_path, capsys):
     assert sum(has211) == 2  # k=(2,1,1) under both a-tuples
 
 
-# Kept after the battery: clearing the Xi cache leaves it cold, and the
-# battery's 60 s gate counts on the cache that the acceptance lines warmed.
+# The Xi cache is cleared before and after: with the patched _xi_steps the
+# run would otherwise be served images cached from the real ladders, and
+# later tests would be served the broken ones.
 def test_broken_xi_reports_fail(tmp_path, capsys, monkeypatch):
     """A ladder that leaves the chain gives a failing case, not a traceback."""
     steps = lattice._xi_steps

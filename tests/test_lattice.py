@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from oracles import chain_reference, walk_reference, xi_steps_reference
 from ttw4d.lattice import (
     DivisorSingular,
     IDENTITY_KINDS,
@@ -30,7 +33,8 @@ from ttw4d.lattice import (
     xi_operator,
 )
 from ttw4d.cli import DEFAULT_A_GRID, DEFAULT_K_GRID
-from ttw4d.model import QuantumState, SystemParams, parse_rational, spectral_chain
+from ttw4d.model import (QuantumState, SystemParams, enumerate_states, parse_rational,
+                         spectral_chain)
 from ttw4d.numcore import OmegaPoly
 
 HALVES = (F(1, 2),) * 4
@@ -190,6 +194,46 @@ def test_xi_preserves_energy_exactly():
     for k, a in GRID:
         p = params_for(k, a)
         assert xi_class_check(p, nmax=4) == []
+
+
+def _expected_image(ref):
+    """{target: OmegaPoly coefficient tuple} of one reference walk."""
+    if ref is None or ref[2] == 0:
+        return {}
+    target, _, c, m = ref
+    return {target: (0,) * m + (c,)}
+
+
+_LADDERS = [("K0+", None), ("K0-", None)] + [
+    (kind, slot) for kind in ("J+", "J-", "K+a", "K-a") for slot in (1, 2, 3)]
+_RATIONALS = hst.fractions(min_value=F(1, 3), max_value=2, max_denominator=3)
+_POTENTIALS = hst.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=hst.tuples(*[_RATIONALS] * 3), a=hst.tuples(*[_POTENTIALS] * 4))
+def test_integer_kernel_matches_fraction_reference(k, a):
+    """Chain, every Xi_i^+- and every ladder kind equal the Fraction walker."""
+    p = SystemParams(*k, *a)
+    for st in enumerate_states(2):
+        ch = spectral_chain(p, st)
+        want = chain_reference(k, a, st)
+        assert (ch.A0, ch.A1, ch.A2, ch.ell1, ch.ell2, ch.ell3) == want[:6]
+        assert ch.E.coeffs == (0, want[6])
+        ext = [*st, *want[:3]]
+        for i in (1, 2, 3):
+            for sign in ("+", "-"):
+                ref = walk_reference(a, ext, xi_steps_reference(k, i, sign))
+                if ref is not None:
+                    assert ref[1] == chain_reference(k, a, ref[0])[:3]
+                got = {tuple(t): c.coeffs for t, c in xi_action(i, sign, p, st).items()}
+                assert got == _expected_image(ref), (tuple(st), i, sign)
+        for kind, slot in _LADDERS:
+            ref = walk_reference(a, ext, [(kind, slot)])
+            vec = ladder_action(kind, p, st, slot=slot)
+            got = {tuple(t): c.coeffs for t, c in vec.items()}
+            assert got == _expected_image(ref), (tuple(st), kind, slot)
+    assert xi_class_check(p, nmax=2) == []
 
 
 def test_xi_closed_form_composed_matches_action_on_interior_states():
