@@ -5,6 +5,17 @@ are sparse rational(-in-w) combinations of them, and operators are rules
 state -> vector closed under addition, scaling, composition, commutator and
 the symmetrized triple product.  The coefficient ring is Q[w] (OmegaPoly).
 
+Vectors stay in one normal form: keys are QuantumStates, entries are
+nonzero OmegaPolys, and each coefficient tuple holds Fractions with no
+trailing zero.  Only the public constructors coerce and validate; the
+algebra builds its results from operands already in normal form through
+the trusted `_of` constructors, and only + and - have to drop cancelled
+terms.  A LatticeOperator memoizes its rule per state for its own
+lifetime, so an operator shared inside one expression (both sides of a
+commutator, the six orderings of a symmetrized triple, one M_1^- in the
+four m1 relations) computes each image once; the memo goes with the
+expression, and the only cache across expressions is the Xi image cache.
+
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
 generally leaves the separated basis (it shifts a parameter without
@@ -72,10 +83,26 @@ def _as_opoly(c) -> OmegaPoly:
     raise TypeError(f"cannot use {type(c).__name__} as a lattice coefficient")
 
 
+def _add_into(acc: dict, items) -> None:
+    """acc += items in place, for normal-form terms; drops cancelled entries."""
+    for st, c in items:
+        if st in acc:
+            s = acc[st] + c
+            if s.coeffs:
+                acc[st] = s
+            else:
+                del acc[st]
+        else:
+            acc[st] = c
+
+
 class LatticeVector:
     """Sparse exact vector: QuantumState -> OmegaPoly, no zero entries.
 
     Treat instances as immutable values; all operations build new vectors.
+    The public constructor coerces, validates and merges its terms; the
+    operations build their results with `_of` from terms already in normal
+    form.
     """
 
     __slots__ = ("terms",)
@@ -93,12 +120,19 @@ class LatticeVector:
         object.__setattr__(
             self, "terms", {st: c for st, c in acc.items() if not c.is_zero()})
 
+    @classmethod
+    def _of(cls, terms: dict) -> "LatticeVector":
+        """Trusted constructor: terms maps QuantumState -> nonzero OmegaPoly."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("LatticeVector is immutable")
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def basis(cls, state, coeff=1):
@@ -118,21 +152,22 @@ class LatticeVector:
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         out = dict(self.terms)
-        for st, c in other.terms.items():
-            out[st] = out[st] + c if st in out else c
-        return LatticeVector(out)
+        _add_into(out, other.terms.items())
+        return LatticeVector._of(out)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        _add_into(out, ((st, -c) for st, c in other.terms.items()))
+        return LatticeVector._of(out)
 
     def __neg__(self):
-        return self.scale(-1)
+        return LatticeVector._of({st: -c for st, c in self.terms.items()})
 
     def scale(self, c) -> "LatticeVector":
         c = _as_opoly(c)
         if c.is_zero():
-            return LatticeVector()
-        return LatticeVector({st: v * c for st, v in self.terms.items()})
+            return LatticeVector._of({})
+        return LatticeVector._of({st: v * c for st, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LatticeVector):
@@ -150,37 +185,51 @@ class LatticeVector:
 
 
 class LatticeOperator:
-    """Exact linear operator given by a rule state -> LatticeVector."""
+    """Exact linear operator given by a rule state -> LatticeVector.
 
-    __slots__ = ("rule",)
+    Each instance memoizes its rule per state for its own lifetime, so the
+    operators an expression shares (the leaves of a commutator or of the six
+    orderings of a symmetrized triple) evaluate each image once.  Nothing is
+    cached beyond the instance.
+    """
+
+    __slots__ = ("rule", "_memo")
 
     def __init__(self, rule):
         object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeOperator is immutable")
 
+    def _image(self, st: QuantumState) -> LatticeVector:
+        memo = self._memo
+        vec = memo.get(st)
+        if vec is None:
+            vec = memo[st] = self.rule(st)
+        return vec
+
     def __call__(self, state) -> LatticeVector:
-        return self.rule(QuantumState(*state))
+        return self._image(QuantumState(*state))
 
     def on_vector(self, vec: LatticeVector) -> LatticeVector:
-        out = LatticeVector()
+        acc = {}
         for st, c in vec.items():
-            out = out + self.rule(st).scale(c)
-        return out
+            _add_into(acc, ((t, v * c) for t, v in self._image(st).items()))
+        return LatticeVector._of(acc)
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator(lambda st: self.rule(st) + other.rule(st))
+        return LatticeOperator(lambda st: self._image(st) + other._image(st))
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator(lambda st: self.rule(st) - other.rule(st))
+        return LatticeOperator(lambda st: self._image(st) - other._image(st))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "LatticeOperator":
         c = _as_opoly(c)
-        return LatticeOperator(lambda st: self.rule(st).scale(c))
+        return LatticeOperator(lambda st: self._image(st).scale(c))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, OmegaPoly)):
@@ -194,7 +243,7 @@ class LatticeOperator:
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         """Composition self ∘ other (other acts first)."""
-        return LatticeOperator(lambda st: self.on_vector(other.rule(st)))
+        return LatticeOperator(lambda st: self.on_vector(other._image(st)))
 
 
 def commutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
@@ -369,7 +418,7 @@ def _xi_cached(params: SystemParams, i: int, sign: str, state: QuantumState) -> 
         raise ChainBroken("left the chain", state, i, sign, target)
     if tgt[3] != src[3]:
         raise ChainBroken("changed E", state, i, sign, target)
-    return LatticeVector({target: coeff})
+    return LatticeVector._of({target: coeff} if coeff.coeffs else {})
 
 
 def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
@@ -562,19 +611,19 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     if which not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {which!r}")
     if which == "cross-commute":
+        Lpm = {(j, s): lpm_operator(params, j, s) for j in (1, 2, 3) for s in "+-"}
         for j in (1, 2, 3):
             if j == i:
                 continue
             Lj = l_operator(params, j)
             for s in ("+", "-"):
-                r = commutator(Lj, lpm_operator(params, i, s))(state)
+                r = commutator(Lj, Lpm[i, s])(state)
                 if not r.is_zero():
                     return r
             if abs(i - j) > 1:
                 for s in ("+", "-"):
                     for t in ("+", "-"):
-                        r = commutator(lpm_operator(params, j, s),
-                                       lpm_operator(params, i, t))(state)
+                        r = commutator(Lpm[j, s], Lpm[i, t])(state)
                         if not r.is_zero():
                             return r
         return LatticeVector.zero()

@@ -46,12 +46,18 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(c).__name__}")
 
 
+_ZERO = Fraction(0)
+
+
 class OmegaPoly:
     """Exact polynomial in the formal symbol w, coefficients in Q.
 
-    Immutable; the coefficient tuple never has a trailing zero (the zero
-    polynomial is the empty tuple).  Supports +, -, *, ** and scaling by
-    Fraction/int on either side.
+    Immutable; the coefficient tuple holds Fractions and never has a trailing
+    zero (the zero polynomial is the empty tuple).  Supports +, -, *, ** and
+    scaling by Fraction/int on either side.  The public constructor coerces
+    and strips; the ring operations build their results with `_of`, which
+    stores a tuple already in that normal form.  Only + and - can cancel a
+    leading term: Q has no zero divisors, so a product keeps its degree.
     """
 
     __slots__ = ("coeffs",)
@@ -62,13 +68,20 @@ class OmegaPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "OmegaPoly":
+        """Trusted constructor: coeffs is a tuple of Fractions, no trailing zero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("OmegaPoly is immutable")
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def const(cls, c):
@@ -76,7 +89,8 @@ class OmegaPoly:
 
     @classmethod
     def omega(cls, power: int = 1, scale=1):
-        return cls((0,) * power + (scale,))
+        c = _as_fraction(scale)
+        return cls._of((_ZERO,) * power + (c,) if c else ())
 
     # -- structure ----------------------------------------------------------
     @property
@@ -103,13 +117,20 @@ class OmegaPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return OmegaPoly(tuple(self.coeff(i) + o.coeff(i) for i in range(n)))
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = [x + y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return OmegaPoly._of(tuple(cs) + a[len(b):])
+        while cs and not cs[-1]:
+            cs.pop()
+        return OmegaPoly._of(tuple(cs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return OmegaPoly(tuple(-c for c in self.coeffs))
+        return OmegaPoly._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -127,21 +148,28 @@ class OmegaPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return OmegaPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return OmegaPoly(tuple(out))
+        a, b = self.coeffs, o.coeffs
+        if not a or not b:
+            return OmegaPoly._of(())
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            y = b[0]
+            return OmegaPoly._of(tuple(x * y if x else x for x in a))
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return OmegaPoly._of(tuple(out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             d = Fraction(other)
-            return OmegaPoly(tuple(c / d for c in self.coeffs))
+            return OmegaPoly._of(tuple(c / d for c in self.coeffs))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -159,7 +187,12 @@ class OmegaPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(("OmegaPoly", self.coeffs))
+        # a constant equals its Fraction (and the zero poly equals 0), so it
+        # must hash like one
+        cs = self.coeffs
+        if len(cs) <= 1:
+            return hash(cs[0]) if cs else 0
+        return hash(("OmegaPoly", cs))
 
     def __repr__(self):
         return f"OmegaPoly({self.coeffs!r})"

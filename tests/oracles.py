@@ -15,6 +15,10 @@ package's scaled-integer lattice kernel: the nested chain A2 -> A1 -> A0 and
 the printed one-step actions on states that carry (A0, A1, A2), composed
 step by step in exact rationals.
 
+The sparse polynomial and vector arithmetic over dicts of Fractions is the
+reference for the package's normal-form lattice algebra (vectors
+QuantumState -> polynomial in w, operators as state -> vector tables).
+
 The truncated Taylor (jet) arithmetic at the end is the reference for the
 package's flat jet core: dense dicts over graded multi-indices, with the loop
 and accumulation order that defines which float each coefficient is, so the
@@ -133,6 +137,46 @@ def walk_reference(a, ext, steps):
         f, dm, ext = hit
         c, m = c * f, m + dm
     return tuple(ext[:4]), tuple(ext[4:]), c, m
+
+
+# -- sparse exact lattice algebra ----------------------------------------------
+# A polynomial in w is {power: Fraction}, a vector {state tuple: polynomial}
+# and an operator a table {state tuple: vector}; none holds a zero entry.
+
+def poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+    """p + sign * q."""
+    out = dict(p)
+    for d, c in q.items():
+        out[d] = out.get(d, 0) + sign * c
+    return {d: Fraction(c) for d, c in out.items() if c}
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for d, c in p.items():
+        for e, b in q.items():
+            out[d + e] = out.get(d + e, 0) + c * b
+    return {d: Fraction(c) for d, c in out.items() if c}
+
+
+def vec_add(u: dict, v: dict, sign: int = 1) -> dict:
+    """u + sign * v."""
+    out = dict(u)
+    for st, p in v.items():
+        out[st] = poly_add(out.get(st, {}), p, sign)
+    return {st: p for st, p in out.items() if p}
+
+
+def vec_scale(u: dict, c: dict) -> dict:
+    return {st: q for st, p in u.items() if (q := poly_mul(p, c))}
+
+
+def op_apply(table: dict, u: dict) -> dict:
+    """sum over st of u[st] * table[st] (a state missing from table maps to 0)."""
+    out = {}
+    for st, c in u.items():
+        out = vec_add(out, vec_scale(table.get(st, {}), c))
+    return out
 
 
 # -- dict-based jets ------------------------------------------------------------

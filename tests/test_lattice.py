@@ -1,15 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from oracles import chain_reference, walk_reference, xi_steps_reference
+from oracles import (chain_reference, op_apply, poly_add, poly_mul, vec_add, vec_scale,
+                     walk_reference, xi_steps_reference)
 from ttw4d.lattice import (
     DivisorSingular,
     IDENTITY_KINDS,
+    LatticeOperator,
     LatticeVector,
     Lpm_action,
     M1_minus_action,
@@ -26,6 +29,7 @@ from ttw4d.lattice import (
     lpm_operator,
     m1_minus_operator,
     s1_value,
+    symmetrized_triple,
     window_independence,
     xi1_closed_form,
     xi_action,
@@ -60,6 +64,100 @@ def test_vector_basics():
     w = v + v.scale(-1)
     assert w == LatticeVector.zero()
     assert (v + v).coeff(st) == OmegaPoly.const(6)
+
+
+# A polynomial is drawn as {power: coefficient}, a vector as {state: polynomial}
+# and an operator as {state: vector}, over a small box so that terms collide.
+_NF_STATES = hst.tuples(hst.integers(0, 2), *[hst.integers(0, 1)] * 3)
+_NF_COEFFS = hst.sampled_from((F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2)))
+_NF_POLYS = hst.dictionaries(hst.integers(0, 3), _NF_COEFFS, max_size=3)
+_NF_VECS = hst.dictionaries(_NF_STATES, _NF_POLYS, max_size=5).map(
+    lambda u: {st: p for st, p in u.items() if p})
+_NF_TABLES = hst.dictionaries(_NF_STATES, _NF_VECS, max_size=4)
+
+
+def _poly(p: dict) -> OmegaPoly:
+    return OmegaPoly([p.get(d, 0) for d in range(max(p, default=-1) + 1)])
+
+
+def _vec(u: dict) -> LatticeVector:
+    return LatticeVector({st: _poly(p) for st, p in u.items()})
+
+
+def _operator(table: dict) -> LatticeOperator:
+    images = {st: _vec(u) for st, u in table.items()}
+    return LatticeOperator(lambda st: images.get(st, LatticeVector.zero()))
+
+
+def _normal_poly(p: OmegaPoly) -> dict:
+    """p as {power: coefficient}, after checking that it is in normal form."""
+    cs = p.coeffs
+    assert type(cs) is tuple and all(type(c) is F for c in cs), cs
+    assert not cs or cs[-1] != 0, cs  # no trailing zero
+    return {d: c for d, c in enumerate(cs) if c}
+
+
+def _normal_vec(v: LatticeVector) -> dict:
+    """v as {state: {power: coefficient}}, after checking its normal form."""
+    out = {}
+    for st, p in v.items():
+        assert type(st) is QuantumState, st
+        assert not p.is_zero(), st  # no zero term
+        out[st] = _normal_poly(p)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_NF_VECS, w=_NF_VECS, c=_NF_POLYS, p=_NF_POLYS, r=_NF_POLYS,
+       a=_NF_TABLES, b=_NF_TABLES, st=_NF_STATES)
+def test_lattice_algebra_keeps_normal_form(u, w, c, p, r, a, b, st):
+    """+, -, scale, OmegaPoly *, on_vector and @ equal the dict reference, and
+    every result is in normal form, also where terms cancel exactly."""
+    v = vec_add(w, u, -1)  # u + v = w cancels u's terms, leading ones included
+    U, V, W = _vec(u), _vec(v), _vec(w)
+    assert _normal_vec(U + V) == w
+    assert _normal_vec(U - V) == vec_add(u, v, -1)
+    assert _normal_vec(U + (-U)) == {} and _normal_vec(U - U) == {}
+    assert _normal_vec(U.scale(_poly(c))) == vec_scale(u, c)
+    q = poly_add(r, p, -1)  # p + q = r cancels p's leading terms when deg r < deg p
+    P, Q = _poly(p), _poly(q)
+    assert _normal_poly(P + Q) == r
+    assert _normal_poly(P - Q) == poly_add(p, q, -1)
+    assert _normal_poly(P * Q) == poly_mul(p, q)
+    assert _normal_poly(P * _poly(c)) == poly_mul(p, c)
+    A, B = _operator(a), _operator(b)
+    assert _normal_vec(A.on_vector(U + V)) == op_apply(a, w)
+    assert _normal_vec((A - A).on_vector(U)) == {}
+    AB = A @ B
+    for s in (*b, st):
+        assert _normal_vec(AB(s)) == op_apply(a, b.get(s, {}))
+    assert _normal_vec(AB.on_vector(U)) == op_apply(a, op_apply(b, u))
+
+
+def test_operator_memo_is_per_instance():
+    """An operator runs its rule once per state for its own lifetime, inside
+    every expression that shares it; a fresh instance runs it again."""
+    p = params_for((2, 1, 1), MIXED)
+    st = identity_states(p, 1)[0]
+    calls = Counter()
+
+    def counted(name, i, sign):
+        def rule(s):
+            calls[name, s] += 1
+            return Lpm_action(i, sign, p, s)
+        return LatticeOperator(rule)
+
+    A, B = counted("A", 1, "+"), counted("B", 2, "-")
+    symmetrized_triple(A, B, B)(st)
+    assert len(calls) > 2 and set(calls.values()) == {1}, calls
+    calls.clear()
+    A, B = counted("A", 1, "+"), counted("B", 2, "-")
+    commutator(A, B)(st)
+    assert len(calls) > 2 and set(calls.values()) == {1}, calls
+    A(st)
+    assert calls["A", st] == 1
+    counted("A", 1, "+")(st)
+    assert calls["A", st] == 2
 
 
 # -- primitive ladders ------------------------------------------------------------
@@ -465,6 +563,46 @@ def test_m1_singular_divisor_guard():
     assert spectral_chain(p, st).A0 == 3 == p.pq1[0]
     with pytest.raises(DivisorSingular):
         M1_minus_action(p, st)
+
+
+_RATIOS = hst.sampled_from((F(1, 2), F(1), F(2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=hst.tuples(_RATIOS, _RATIOS, _RATIOS), a=hst.tuples(*[_POTENTIALS] * 4),
+       offsets=hst.lists(hst.tuples(*[hst.integers(0, 2)] * 4),
+                         min_size=2, max_size=3, unique=True))
+def test_identities_hold_off_the_grid(r, a, offsets):
+    """Random rational (k, a) with every p_i, q_i <= 2, at interior states: the
+    15 corrected algebra checks and the four m1 relations (xi form) vanish
+    exactly, and M1- raises DivisorSingular exactly where A0 in {0, +-p1}.
+
+    In this range A0 > p1 at every state, so M1- must never raise here;
+    test_m1_singular_divisor_guard covers the raising side.
+    """
+    k = (r[0], r[0] * r[1], r[0] * r[1] * r[2])
+    p = SystemParams(*k, *a)
+    m = interior_margins(p)
+    states = [QuantumState(*(n + o for n, o in zip(m, off))) for off in offsets]
+    M1 = m1_minus_operator(p, convention="xi")
+    for st in states:
+        for i in (1, 2, 3):
+            for which in IDENTITY_KINDS:
+                res = check_identity(i, which, p, st, variant="corrected")
+                assert res.is_zero(), (k, a, st, i, which, res)
+        rel1 = commutator(l_operator(p, 1), M1)(st) - Lpm_action(1, "-", p, st)
+        assert rel1.is_zero(), (k, a, st, rel1)
+        for L in (h_operator(p), l_operator(p, 2), l_operator(p, 3)):
+            assert commutator(L, M1)(st).is_zero(), (k, a, st)
+    p1 = p.pq1[0]
+    for st in (*enumerate_states(2), *states):
+        singular = spectral_chain(p, st).A0 in (0, p1, -p1)
+        try:
+            M1_minus_action(p, st)
+            raised = False
+        except DivisorSingular:
+            raised = True
+        assert raised == singular, (k, a, st)
 
 
 # -- linear independence ----------------------------------------------------------------

@@ -103,6 +103,18 @@ def test_opoly_str():
     assert s == "3/2 - 5/3*w^2"
 
 
+def test_opoly_hash_agrees_with_equality():
+    """A constant equals its Fraction and the zero poly equals 0, so each must
+    hash like the number it equals."""
+    for c in (3, F(3), F(-5, 7)):
+        assert OmegaPoly((c,)) == c
+        assert hash(OmegaPoly((c,))) == hash(c)
+        assert len({OmegaPoly((c,)), c}) == 1
+    assert OmegaPoly(()) == 0 and hash(OmegaPoly(())) == hash(0)
+    assert len({OmegaPoly((0, 0)), OmegaPoly.zero(), 0, F(0)}) == 1
+    assert {OmegaPoly.omega(1, 2): "w"}[OmegaPoly((0, 2))] == "w"
+
+
 # -- multi-indices and jet bookkeeping -------------------------------------------
 
 def test_multi_indices_count():
