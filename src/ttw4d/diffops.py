@@ -3,11 +3,22 @@
 A DiffOperator is a finite sum of terms c(point) * d^mu plus products of
 operators, applied to a function through its jet: the caller supplies a
 Point-to-Jet evaluator of sufficient order, the operator extracts derivative
-jets and multiplies by coefficient jets.  A coefficient is a plain
-(point, order) -> Jet callable.  Operators close under addition, scaling and
-composition; a product A ∘ B is applied by chaining, A.apply(B.bind(f)), so
-f's Taylor jet passes through each factor in turn and no coefficient is ever
-differentiated (no symbolic algebra anywhere).
+jets and multiplies by coefficient jets.  Coefficients and evaluators share
+one signature, (point, order) -> Jet.  Operators close under addition,
+scaling and composition; a product A ∘ B is applied by chaining,
+A.apply(B.bind(f)), so f's Taylor jet passes through each factor in turn and
+no coefficient is ever differentiated (no symbolic algebra anywhere).
+
+Every evaluation happens at a per-point context, `numcore.EvalPoint`: a float
+tuple that memoizes the coordinate jets per order, each coefficient and
+evaluator jet per (callable, order) and each separated eigenfunction factor
+per (factor key, axis, order).  `apply` wraps a plain point in a fresh
+context and passes the context down product chains, so the operators, test
+functions and wavefunctions applied at one context build each of those jets
+once.  A caller that applies many of them at one point makes the context
+itself and drops it when the point is done: memos never outlive their point.
+The coefficient combinators below evaluate their operands through the
+context, so a factor shared by nested terms is built once.
 
 Built here: the commuting tower H, L1, L2, L3 (with the quantum-corrected
 potential terms), the printed one-variable ladders K0^{+-}, J^{+-},
@@ -22,12 +33,12 @@ from typing import Callable
 from ._expl211 import CORRECTED_TABLE, DERIV_INDEX, PRINTED_TABLE
 from .model import (AngularSlotGauge, QuantumState, SystemParams,
                     spectral_chain)
-from .numcore import Jet, opoly_eval
+from .numcore import EvalPoint, Jet, opoly_eval
 
 
 def coords(point, order: int):
-    """Coordinate jets (r, theta1, theta2, theta3) at a point."""
-    return tuple(Jet.variable(point, i, order) for i in range(4))
+    """Coordinate jets (r, theta1, theta2, theta3), built once per context."""
+    return EvalPoint.of(point).coords(order)
 
 
 def coeff_const(c) -> Callable:
@@ -41,18 +52,24 @@ def coeff_vars(fn) -> Callable:
 
 
 def coeff_sum(a, b) -> Callable:
-    return lambda p, o: a(p, o) + b(p, o)
+    def cf(p, o):
+        p = EvalPoint.of(p)
+        return p.jet(a, o) + p.jet(b, o)
+    return cf
 
 
 def coeff_prod(a, b) -> Callable:
-    return lambda p, o: a(p, o) * b(p, o)
+    def cf(p, o):
+        p = EvalPoint.of(p)
+        return p.jet(a, o) * p.jet(b, o)
+    return cf
 
 
 def coeff_scale(a, s) -> Callable:
     v = float(s)
     if v == 1.0:
         return a
-    return lambda p, o: a(p, o) * v
+    return lambda p, o: EvalPoint.of(p).jet(a, o) * v
 
 
 class DiffOperator:
@@ -81,20 +98,26 @@ class DiffOperator:
     def apply(self, f, point, out_order: int = 0) -> Jet:
         """Apply to a Point-to-Jet evaluator f at a point.
 
-        f is queried at order at most out_order + max_order; the result is
-        the jet of (op f) of order out_order at the point.
+        f and every coefficient are (point, order) -> Jet callables, called
+        with an `EvalPoint`: `point` itself if it is one, else a fresh context
+        at it, which this call and its product chain share and then drop.
+        Through the context, f is evaluated once per order and each
+        coefficient once per output order, however many terms, products and
+        operators ask for them at that context.  f is queried at order at
+        most out_order + max_order; the result is the jet of (op f) of order
+        out_order at the point.
         """
-        point = tuple(float(x) for x in point)
-        out = Jet.constant(0.0, point, out_order)
+        ctx = EvalPoint.of(point)
+        out = Jet.constant(0.0, ctx, out_order)
         if self.terms:
-            F = f(point, out_order + max(sum(mu) for mu in self.terms))
+            F = ctx.jet(f, out_order + max(sum(mu) for mu in self.terms))
             for mu, cf in self.terms.items():
                 D = F.derivative_jet(mu)
                 if D.order != out_order:
                     D = D.truncated(out_order)
-                out = out + cf(point, out_order) * D
+                out = out + ctx.jet(cf, out_order) * D
         for outer, inner in self.products:
-            out = out + outer.apply(inner.bind(f), point, out_order)
+            out = out + outer.apply(inner.bind(f), ctx, out_order)
         return out
 
     def bind(self, f) -> Callable:
@@ -301,26 +324,31 @@ def _require_211(params: SystemParams):
         raise ValueError("the explicit 5th-order operator requires k = (2,1,1)")
 
 
-def _trig_coeff(trig: str):
-    if trig == "1":
-        return coeff_const(1)
-    if trig == "c":
-        def fn(r, t1, t2, t3):
-            u = t1 * 4.0
-            return u.cos()
-        return coeff_vars(fn)
-    if trig == "s":
-        def fn(r, t1, t2, t3):
-            u = t1 * 4.0
-            return u.sin()
-        return coeff_vars(fn)
-    raise ValueError(f"unknown trig tag {trig!r}")
+def _cos4(p, o):
+    return (coords(p, o)[1] * 4.0).cos()
 
 
-def _rpow_coeff(m: int, scale: float):
-    def fn(r, t1, t2, t3):
-        return r.power(-m) * scale if m else Jet.constant(scale, r.base, r.order)
-    return coeff_vars(fn)
+def _sin4(p, o):
+    return (coords(p, o)[1] * 4.0).sin()
+
+
+def _inv_r_power(m: int):
+    def fn(p, o):
+        return coords(p, o)[0].power(-m)
+    return fn
+
+
+# one evaluator per factor, so every term and state at a context shares its jet
+_TRIG = {"c": _cos4, "s": _sin4}
+_INV_R_POWER = {m: _inv_r_power(m) for m in range(1, 5)}
+
+
+def _term_coeff(trig: str, m: int, scale: float) -> Callable:
+    """scale * r^-m * trig(4 theta1), trig one of "1", "c", "s"."""
+    if trig not in ("1", "c", "s"):
+        raise ValueError(f"unknown trig tag {trig!r}")
+    radial = coeff_scale(_INV_R_POWER[m], scale) if m else coeff_const(scale)
+    return radial if trig == "1" else coeff_prod(_TRIG[trig], radial)
 
 
 def build_example_L1plus(params: SystemParams) -> DiffOperator:
@@ -357,7 +385,7 @@ def build_example_L1plus(params: SystemParams) -> DiffOperator:
     a1sq = params.a1 ** 2
     outers = {}
     for (deriv, trig, rpow, smono), (c0, c1) in PRINTED_TABLE.items():
-        cf = coeff_prod(_trig_coeff(trig), _rpow_coeff(rpow, float(c0 + c1 * a1sq)))
+        cf = _term_coeff(trig, rpow, float(c0 + c1 * a1sq))
         outers.setdefault(smono, []).append((DERIV_INDEX[deriv], cf))
     return DiffOperator((), [(DiffOperator(terms), hats[smono])
                              for smono, terms in outers.items()])
@@ -382,8 +410,7 @@ def example211_scalar(params: SystemParams, state, variant: str = "corrected") -
             for (m, trig, e, p0, p1, pa), (num, den) in monos.items():
                 cc = (Fraction(num, den) * E ** e * ch.A0 ** p0
                       * ch.A1 ** p1 * params.a1 ** pa)
-                cf = coeff_prod(_trig_coeff(trig), _rpow_coeff(m, float(cc)))
-                items.append(((i, j, 0, 0), cf))
+                items.append(((i, j, 0, 0), _term_coeff(trig, m, float(cc))))
     elif variant == "printed":
         a1sq = params.a1 ** 2
         smono_vals = {"1": Fraction(1), "E": E, "E2": E ** 2,
@@ -392,8 +419,7 @@ def example211_scalar(params: SystemParams, state, variant: str = "corrected") -
                       "A02A12": ch.A0 ** 2 * ch.A1 ** 2}
         for (deriv, trig, rpow, smono), (c0, c1) in PRINTED_TABLE.items():
             cc = (c0 + c1 * a1sq) * smono_vals[smono]
-            items.append((DERIV_INDEX[deriv],
-                          coeff_prod(_trig_coeff(trig), _rpow_coeff(rpow, float(cc)))))
+            items.append((DERIV_INDEX[deriv], _term_coeff(trig, rpow, float(cc))))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return DiffOperator(items)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diffops import DiffOperator, build_h, coords
 from .model import SystemParams, in_cell, potential_v0
-from .numcore import Jet
+from .numcore import EvalPoint, Jet
 
 
 def metric_diag_jets(params: SystemParams, point, order: int):
@@ -183,16 +183,26 @@ def laplace_beltrami(params: SystemParams) -> DiffOperator:
     """The metric Laplacian, coefficients derived from metric jets.
 
     For the diagonal metric: sum_a g^{aa} d_a^2 + (d_a(sqrt(g) g^{aa})/sqrt(g)) d_a.
+    The metric jets and sqrt(g) are built once per context and order, not
+    once per coefficient.
     """
+    def metric(p, o):
+        return metric_diag_jets(params, p, o)
+
+    def sqrt_det(p, o):
+        g = p.jet(metric, o)
+        return (g[0] * g[1] * g[2] * g[3]).sqrt()
+
     def second_coeff(axis):
         def fn(p, o):
-            return metric_diag_jets(params, p, o)[axis].reciprocal()
+            return EvalPoint.of(p).jet(metric, o)[axis].reciprocal()
         return fn
 
     def first_coeff(axis):
         def fn(p, o):
-            g = metric_diag_jets(params, p, o + 1)
-            sqrtg = (g[0] * g[1] * g[2] * g[3]).sqrt()
+            p = EvalPoint.of(p)
+            g = p.jet(metric, o + 1)
+            sqrtg = p.jet(sqrt_det, o + 1)
             h = sqrtg * g[axis].reciprocal()
             e = tuple(1 if j == axis else 0 for j in range(4))
             return h.derivative_jet(e) / sqrtg.truncated(o)
@@ -210,7 +220,9 @@ def laplace_beltrami(params: SystemParams) -> DiffOperator:
 def conformal_identity_check(params: SystemParams, points, fns) -> list:
     """Per function, the worst relative residual of H f = (lap + V0 - R/6 - W/24) f.
 
-    Curvature is computed once per point, H and lap once per call.  W enters
+    Curvature is computed once per point, H and lap once per call.  One
+    context per point serves every function, so the coefficients of H and
+    lap are built once per point and each f once per order.  W enters
     signed: the quantum-corrected Hamiltonian uses 2(k1^2-k2^2)/(r^2 sin^2 k1 t1)/24,
     which is the invariant for k1 >= k2 and its negative otherwise.
     """
@@ -220,13 +232,13 @@ def conformal_identity_check(params: SystemParams, points, fns) -> list:
     H = build_h(params)
     residuals = [[] for _ in fns]
     for p in points:
-        p = tuple(float(x) for x in p)
-        rep = curvature_at(params, p)
+        ctx = EvalPoint(p)
+        rep = curvature_at(params, ctx)
         wsigned = rep.W if params.k1 >= params.k2 else -rep.W
-        scalar = potential_v0(params, p) - rep.R / 6.0 - wsigned / 24.0
+        scalar = potential_v0(params, ctx) - rep.R / 6.0 - wsigned / 24.0
         for f, out in zip(fns, residuals):
-            fval = f(p, 0).value
-            lhs = H.apply(f, p, 0).value
-            rhs = lap.apply(f, p, 0).value + scalar * fval
+            fval = ctx.jet(f, 0).value
+            lhs = H.apply(f, ctx, 0).value
+            rhs = lap.apply(f, ctx, 0).value + scalar * fval
             out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     return [max(out) for out in residuals]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .numcore import Jet, OmegaPoly
+from .numcore import EvalPoint, Jet, OmegaPoly
 from .specfun import JacobiSpec, LaguerreSpec, jacobi_eval, laguerre_eval
 
 
@@ -244,7 +244,8 @@ def radial_factor(omega: Fraction, n0: int, A0: Fraction):
 
     Psi0(r) = w^{A0/2} e^{-w r^2/2} r^{A0-1} L_{n0}^{(A0)}(w r^2), with the
     w^{A0/2} prefactor included so the radial ladder coefficients come out
-    clean.
+    clean.  Its `key` (n0 and the integer ratios of A0 and omega) fixes it
+    exactly; `EvalPoint.factor` memoizes it under that key.
     """
     w = float(omega)
     pref = w ** (float(A0) / 2.0)
@@ -256,11 +257,16 @@ def radial_factor(omega: Fraction, n0: int, A0: Fraction):
         val = (u * (-0.5)).exp() * t.power(float(A0) - 1.0) * pref
         return val * laguerre_eval(spec, u)
 
+    ev.key = ("radial", n0, *A0.as_integer_ratio(), *omega.as_integer_ratio())
     return ev
 
 
 def slot_factor(gauge: AngularSlotGauge, n: int):
-    """Evaluator (theta, order) -> univariate Jet of a gauged slot function."""
+    """Evaluator (theta, order) -> univariate Jet of a gauged slot function.
+
+    Its `key` is n and the integer ratios of a, b, c, d and k; the slot
+    number does not enter the function.
+    """
     k = float(gauge.k)
     ea = float(gauge.a + gauge.c)
     eb = float(gauge.b + gauge.d)
@@ -273,6 +279,8 @@ def slot_factor(gauge: AngularSlotGauge, n: int):
         val = s.power(ea) * c.power(eb)
         return val * jacobi_eval(spec, arg)
 
+    ev.key = ("slot", n, *(x for f in (gauge.a, gauge.b, gauge.c, gauge.d, gauge.k)
+                           for x in f.as_integer_ratio()))
     return ev
 
 
@@ -306,17 +314,27 @@ class Wavefunction:
     def factor(self, i: int):
         return self.factors[i]
 
-    def __call__(self, point, order: int) -> Jet:
+    def _check_cell(self, point):
         if not in_cell(self.params, point):
             raise ValueError(f"point {point} outside the principal cell")
-        jets = [self.factors[i](point[i], order).lift(point, i) for i in range(4)]
+
+    def factor_jets(self, point, order: int) -> list:
+        """The four univariate factor jets, each built once per point context."""
+        ctx = EvalPoint.of(point)
+        return [ctx.factor(ev, i, order) for i, ev in enumerate(self.factors)]
+
+    def __call__(self, point, order: int) -> Jet:
+        self._check_cell(point)
+        ctx = EvalPoint.of(point)
+        jets = [j.lift(ctx, i) for i, j in enumerate(self.factor_jets(ctx, order))]
         out = jets[0]
         for j in jets[1:]:
             out = out * j
         return out
 
     def value(self, point) -> float:
-        return math.prod(self.factors[i](point[i], 0).value for i in range(4))
+        self._check_cell(point)
+        return math.prod(ev(point[i], 0).value for i, ev in enumerate(self.factors))
 
 
 def wavefunction(params: SystemParams, state) -> Wavefunction:

@@ -14,6 +14,10 @@ Three layers live here:
   (nvars, order), closed under ring arithmetic and elementary-function
   composition.  All numeric differentiation in the function-space checks
   goes through jets; there is no finite differencing outside the self-tests.
+
+:class:`EvalPoint` is the point at which jets are evaluated: a float tuple
+that memoizes, for its own lifetime, the coordinate, coefficient, evaluator
+and separated-factor jets built at it.
 """
 from __future__ import annotations
 
@@ -532,3 +536,56 @@ class Jet:
         nz = {mu: c for mu, c in zip(multi_indices(len(self.base), self.order), self.coeffs)
               if c}
         return f"Jet(base={self.base}, order={self.order}, {nz})"
+
+
+# ---------------------------------------------------------------------------
+# per-point evaluation context
+# ---------------------------------------------------------------------------
+
+def _coordinate_jets(point, order: int) -> tuple:
+    return tuple(Jet.variable(point, i, order) for i in range(len(point)))
+
+
+class EvalPoint(tuple):
+    """A sample point (a tuple of floats) that memoizes the jets built at it.
+
+    An evaluator is a pure (point, order) -> Jet callable: a coefficient, a
+    test function, a wavefunction, an operator bound to a function.
+    ``jet(fn, order)`` calls fn(self, order) once and keeps the result under
+    (fn, order); ``coords(order)`` are the coordinate jets.
+    ``factor(ev, axis, order)`` is the univariate jet ev(self[axis], order) of
+    a separated factor, kept under (ev.key, axis) so that equal factors built
+    for different states share it; it keeps the highest order built and
+    serves a lower one by truncation, which is bit for bit the lower-order
+    evaluation (jet arithmetic is graded and accumulates in slot order).  The
+    memo belongs to this object alone: it dies with the point, and two
+    contexts at one point share nothing.  ``of`` wraps a plain point in a
+    fresh context.
+    """
+
+    def __new__(cls, point):
+        self = super().__new__(cls, map(float, point))
+        self.memo = {}
+        return self
+
+    @classmethod
+    def of(cls, point) -> "EvalPoint":
+        """point itself if it is a context, else a fresh context at point."""
+        return point if type(point) is cls else cls(point)
+
+    def jet(self, fn, order: int):
+        key = (fn, order)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = fn(self, order)
+        return got
+
+    def coords(self, order: int) -> tuple:
+        return self.jet(_coordinate_jets, order)
+
+    def factor(self, ev, axis: int, order: int) -> Jet:
+        key = (ev.key, axis)
+        got = self.memo.get(key)
+        if got is None or got.order < order:
+            got = self.memo[key] = ev(self[axis], order)
+        return got if got.order == order else got.truncated(order)

@@ -29,7 +29,7 @@ from .lattice import (DivisorSingular, LatticeVector, Lpm_action,
 from .model import (QuantumState, SystemParams, enumerate_states,
                     gauge_for_slot, radial_factor, slot_factor,
                     spectral_chain, wavefunction)
-from .numcore import Jet, opoly_eval
+from .numcore import EvalPoint, Jet, opoly_eval
 
 _TINY = 1e-300
 
@@ -110,54 +110,29 @@ def test_functions(count: int, seed: int):
 # eigen suite: separable fast path
 # ---------------------------------------------------------------------------
 
-class _FactorCache:
-    """(value, f', f'') of the four separated factors, cached per slot.
+def eigen_residuals(params: SystemParams, state: QuantumState, points):
+    """Max relative residual of HPsi = E Psi and L_i Psi = l_i Psi.
 
-    Factors depend on the state only through their own quantum number and
-    the chain values that enter their gauge, so the cache collapses the
-    state grid drastically.
+    The points are `EvalPoint`s kept across states: a separated factor
+    depends on the state only through its own quantum number and the chain
+    values of its gauge, so each context builds it once for every state
+    that shares it.
     """
-
-    def __init__(self, params: SystemParams):
-        self.params = params
-        self.cache = {}
-
-    def triple(self, key, x, factor, *args):
-        """Look up (key, x); only on a miss build factor(*args) and evaluate it."""
-        got = self.cache.get((key, x))
-        if got is None:
-            jet = factor(*args)(x, 2)
-            got = (jet.value, jet.derivative((1,)), jet.derivative((2,)))
-            self.cache[(key, x)] = got
-        return got
-
-    def radial(self, n0, A0, r):
-        return self.triple(("r", n0, A0), r, radial_factor, self.params.omega, n0, A0)
-
-    def slot(self, slot, gauge, n, theta):
-        return self.triple((slot, n, gauge.a, gauge.b), theta, slot_factor, gauge, n)
-
-
-def eigen_residuals(params: SystemParams, state: QuantumState, points,
-                    cache: _FactorCache):
-    """Max relative residual of HPsi = E Psi and L_i Psi = l_i Psi."""
-    ch = spectral_chain(params, state)
+    psi = wavefunction(params, state)
+    ch = psi.chain
     w = float(params.omega)
     k1, k2, k3 = (float(params.k(i)) for i in (1, 2, 3))
     b1, b2, b3, b4 = (float(b) for b in
                       (params.beta1, params.beta2, params.beta3, params.beta4))
     l1, l2, l3 = float(ch.ell1), float(ch.ell2), float(ch.ell3)
     E = float(opoly_eval(ch.E, params.omega))
-    g1 = gauge_for_slot(params, ch, 1)
-    g2 = gauge_for_slot(params, ch, 2)
-    g3 = gauge_for_slot(params, ch, 3)
     kdiff = float(params.k1 ** 2 - params.k2 ** 2)
     worst = 0.0
-    for (r, t1, t2, t3) in points:
-        v0, d0, dd0 = cache.radial(state.n0, ch.A0, r)
-        v1, d1, dd1 = cache.slot(1, g1, state.n1, t1)
-        v2, d2, dd2 = cache.slot(2, g2, state.n2, t2)
-        v3, d3, dd3 = cache.slot(3, g3, state.n3, t3)
+    for ctx in points:
+        r, t1, t2, t3 = ctx
+        (v0, d0, dd0), (v1, d1, dd1), (v2, d2, dd2), (v3, d3, dd3) = (
+            (j.value, j.derivative((1,)), j.derivative((2,)))
+            for j in psi.factor_jets(ctx, 2))
         s1sq = math.sin(k1 * t1) ** 2
         s2sq = math.sin(k2 * t2) ** 2
         # innermost slot
@@ -182,11 +157,10 @@ def eigen_residuals(params: SystemParams, state: QuantumState, points,
 
 
 def run_eigen(params, nmax, points_n, seed, tol, convention):
-    pts = sample_points(params, points_n, seed)
-    cache = _FactorCache(params)
+    ctxs = [EvalPoint(p) for p in sample_points(params, points_n, seed)]
     cases = []
     for st in enumerate_states(nmax):
-        res = eigen_residuals(params, st, pts, cache)
+        res = eigen_residuals(params, st, ctxs)
         cases.append(_case(f"eigen state={tuple(st)}", res, tol))
     return cases, {}
 
@@ -196,22 +170,15 @@ def run_eigen(params, nmax, points_n, seed, tol, convention):
 # ---------------------------------------------------------------------------
 
 def _lift(univariate, axis):
-    return lambda p, o: univariate(p[axis], o).lift(p, axis)
-
-
-def _ladder_pointwise(op, source_f, target_f, coeff, points, axis):
-    """Max relative deviation of (op source)(x) from coeff * target(x)."""
-    worst = 0.0
-    for p in points:
-        got = op.apply(source_f, p, 0).value
-        want = coeff * target_f(p, 0).value
-        worst = max(worst, _rel(got - want, got, want))
-    return worst
+    def ev(p, o):
+        p = EvalPoint.of(p)
+        return p.factor(univariate, axis, o).lift(p, axis)
+    return ev
 
 
 def run_ladders(params, nmax, points_n, seed, tol, convention):
     pts = sample_points(params, points_n, seed)
-    cases = []
+    checks = []     # (case id, operator, source, target, lattice coefficient)
     w = params.omega
     for n in range(1, 5):
         st = QuantumState(n, n, n, n)
@@ -224,8 +191,7 @@ def run_ladders(params, nmax, points_n, seed, tol, convention):
             op = build_radial_ladder(params, st.n0, ch.A0, kind[-1])
             src = _lift(radial_factor(w, st.n0, ch.A0), 0)
             tgt = _lift(radial_factor(w, st.n0 + dn, ch.A0 + dA), 0)
-            res = _ladder_pointwise(op, src, tgt, c, pts, 0)
-            cases.append(_case(f"{kind} n0={n}", res, tol))
+            checks.append((f"{kind} n0={n}", op, src, tgt, c))
         # angular ladders, every slot
         for slot in (1, 2, 3):
             gauge = gauge_for_slot(params, ch, slot)
@@ -243,9 +209,17 @@ def run_ladders(params, nmax, points_n, seed, tol, convention):
                     tgt_gauge = gauge.shifted(da)
                 src = _lift(slot_factor(gauge, nn), slot)
                 tgt = _lift(slot_factor(tgt_gauge, nn + dn), slot)
-                res = _ladder_pointwise(op, src, tgt, c, pts, slot)
-                cases.append(_case(f"{kind} slot{slot} n={nn}", res, tol))
-    return cases, {}
+                checks.append((f"{kind} slot{slot} n={nn}", op, src, tgt, c))
+    # max relative deviation of (op source)(x) from coeff * target(x), one
+    # context per point shared by every ladder
+    worst = [0.0] * len(checks)
+    for p in pts:
+        ctx = EvalPoint(p)
+        for j, (_, op, src, tgt, c) in enumerate(checks):
+            got = op.apply(src, ctx, 0).value
+            want = c * ctx.jet(tgt, 0).value
+            worst[j] = max(worst[j], _rel(got - want, got, want))
+    return [_case(cid, res, tol) for (cid, *_), res in zip(checks, worst)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +376,24 @@ def run_example211(params, nmax, points_n, seed, tol, convention):
     states = identity_states(params, 10)
     w = params.omega
     printed_op = build_example_L1plus(params)
-    cases = []
-    wf_cache = {}
-
-    def wf(st):
-        if st not in wf_cache:
-            wf_cache[st] = wavefunction(params, st)
-        return wf_cache[st]
-
+    checks = []     # (operator, source wavefunction, [(coefficient, target)])
     for st in states:
         vec = xi_action(1, "+", params, st) + xi_action(1, "-", params, st)
         op = printed_op if variant == "printed" else example211_scalar(params, st, "corrected")
-        worst = 0.0
-        for p in pts:
-            got = op.apply(wf(st), p, 0).value
-            want = sum(float(opoly_eval(poly, w)) * wf(tgt)(p, 0).value
-                       for tgt, poly in vec.items())
-            worst = max(worst, _rel(got - want, got, want))
-        cases.append(_case(f"L1+ [{variant}] vs lattice at {tuple(st)}", worst, tol))
+        checks.append((op, wavefunction(params, st),
+                       [(float(opoly_eval(poly, w)), wavefunction(params, tgt))
+                        for tgt, poly in vec.items()]))
+    # one context per point serves every state and target: the coordinate,
+    # r^-m, cos/sin 4 theta1 and separated-factor jets are built once there
+    worst = [0.0] * len(checks)
+    for p in pts:
+        ctx = EvalPoint(p)
+        for j, (op, psi, targets) in enumerate(checks):
+            got = op.apply(psi, ctx, 0).value
+            want = sum(c * ctx.jet(tgt, 0).value for c, tgt in targets)
+            worst[j] = max(worst[j], _rel(got - want, got, want))
+    cases = [_case(f"L1+ [{variant}] vs lattice at {tuple(st)}", res, tol)
+             for st, res in zip(states, worst)]
     cases.append({"id": f"max derivative order = {printed_op.max_order}",
                   "residual": 0.0 if printed_op.max_order == 5 else 1.0,
                   "pass": printed_op.max_order == 5})

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from ttw4d import suites
 from ttw4d.diffops import (
     DiffOperator,
     build_example_L1plus,
     build_h,
     build_index_ladder,
     build_jacobi_ladder,
+    build_l1,
     build_l2,
     build_l3,
     build_radial_ladder,
@@ -19,6 +21,7 @@ from ttw4d.diffops import (
     example211_scalar,
     identity_diffop,
 )
+from ttw4d.geometry import laplace_beltrami
 from ttw4d.lattice import ladder_action, xi1_closed_form, xi_action
 from ttw4d.model import (
     QuantumState,
@@ -29,7 +32,7 @@ from ttw4d.model import (
     spectral_chain,
     wavefunction,
 )
-from ttw4d.numcore import Jet, opoly_eval
+from ttw4d.numcore import EvalPoint, Jet, opoly_eval
 
 HALVES = (F(1, 2),) * 4
 MIXED = (F(1, 3), F(2, 5), F(3, 7), F(1, 2))
@@ -502,3 +505,77 @@ def test_raising_sum_commutes_with_h_on_eigenfunctions():
         got = H.apply(image, pt, 0).value
         want = E * image(pt, 0).value
         assert rel(got - want, got, want) <= 1e-7
+
+
+# -- per-point evaluation contexts ----------------------------------------------------------
+
+def test_typeset_operator_evaluates_psi_once_per_order():
+    """The nine operator monomials of the typeset form ask for psi at orders
+    3, 4 and 5 only; the context of one apply evaluates each order once."""
+    p = params_for((2, 1, 1), MIXED)
+    psi = wavefunction(p, (4, 2, 2, 2))
+    orders = []
+
+    def recording(point, order):
+        orders.append(order)
+        return psi(point, order)
+
+    build_example_L1plus(p).apply(recording, (1.2, 0.3, 0.7, 0.8), 0)
+    assert sorted(orders) == [3, 4, 5]
+
+
+def _sharing_cases(p):
+    st = QuantumState(4, 2, 3, 1)
+    ch = spectral_chain(p, st)
+    g2 = gauge_for_slot(p, ch, 2)
+    ops = [build_h(p), build_l1(p), laplace_beltrami(p),
+           build_radial_ladder(p, st.n0, ch.A0, "-"),
+           build_jacobi_ladder(g2, st.n2, "+"),
+           build_example_L1plus(p),
+           example211_scalar(p, st, "corrected"),
+           example211_scalar(p, st, "printed")]
+    # the states share slot factors with st and with each other, and some
+    # share a quantum number with st under another A0 or A1
+    fns = [wavefunction(p, s) for s in (st, (2, 3, 3, 1), (6, 1, 3, 1), (4, 3, 3, 1),
+                                        (2, 2, 1, 1), (0, 0, 0, 0))]
+    fns += suites.test_functions(2, 5)
+    return ops, fns
+
+
+def test_shared_context_is_bit_identical_to_fresh_ones():
+    """Applying every operator to every function through one context per
+    point gives, under float.hex, the jets that a fresh context per call gives."""
+    p = params_for((2, 1, 1), MIXED)
+    ops, fns = _sharing_cases(p)
+    hexes = lambda jet: [c.hex() for c in jet.coeffs]
+    for pt in ((1.2, 0.3, 0.7, 0.8), (0.9, 0.45, 1.1, 0.35)):
+        ctx = EvalPoint(pt)
+        # higher output order first, so lower orders are served from the memo
+        for out_order in (1, 0):
+            for op in ops:
+                for f in fns:
+                    shared = op.apply(f, ctx, out_order)
+                    fresh = op.apply(f, EvalPoint(pt), out_order)
+                    assert hexes(shared) == hexes(fresh)
+                    assert hexes(op.apply(f, pt, out_order)) == hexes(fresh)
+
+
+def test_contexts_at_one_point_share_no_memo():
+    p = params_for((2, 1, 1), MIXED)
+    psi = wavefunction(p, (4, 2, 2, 2))
+    calls = []
+
+    def counted(point, order):
+        calls.append(order)
+        return psi(point, order)
+
+    pt = (1.2, 0.3, 0.7, 0.8)
+    a, b = EvalPoint(pt), EvalPoint(pt)
+    assert a == b and a.memo is not b.memo
+    assert EvalPoint.of(a) is a and EvalPoint.of(pt) is not a
+    H = build_h(p)
+    H.apply(counted, a, 0)
+    H.apply(counted, a, 0)
+    assert calls == [2] and (counted, 2) in a.memo and not b.memo
+    H.apply(counted, b, 0)
+    assert calls == [2, 2]

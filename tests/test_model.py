@@ -13,10 +13,12 @@ from ttw4d.model import (
     in_cell,
     parse_rational,
     potential_v0,
+    radial_factor,
+    slot_factor,
     spectral_chain,
     wavefunction,
 )
-from ttw4d.numcore import OmegaPoly, opoly_eval
+from ttw4d.numcore import EvalPoint, OmegaPoly, opoly_eval
 
 HALVES = (F(1, 2), F(1, 2), F(1, 2), F(1, 2))
 MIXED = (F(1, 3), F(2, 5), F(3, 7), F(1, 2))
@@ -204,6 +206,51 @@ def test_wavefunction_requires_numeric_omega_and_cell():
         psi((1.0, 1.2, 0.3, 0.4), 0)  # k1*theta1 > pi/2
     with pytest.raises(ValueError):
         potential_v0(p, (1.0, 0.3, 0.3, 0.3))
+
+
+def test_value_enforces_the_cell_like_call():
+    """value and __call__ reject the same point: k3 theta3 = 2 pi + 0.3 lies
+    outside (0, pi/2) even though every sine and cosine is finite there."""
+    psi = wavefunction(params_for((2, 1, 1), MIXED, omega=1), (1, 1, 1, 1))
+    pt = (1.0, 0.5, 1.0, 2 * math.pi + 0.3)
+    with pytest.raises(ValueError, match="outside the principal cell"):
+        psi(pt, 0)
+    with pytest.raises(ValueError, match="outside the principal cell"):
+        psi.value(pt)
+
+
+def test_factor_jets_truncate_bit_for_bit():
+    """A separated factor evaluated at a high order and truncated equals the
+    factor evaluated at the lower order, coefficient for coefficient under
+    float.hex: the context keeps only the highest order it has built."""
+    p = params_for((2, 1, 1), MIXED, omega=F(3, 2))
+    hexes = lambda jet: [c.hex() for c in jet.coeffs]
+    for st in ((0, 0, 0, 0), (2, 1, 3, 1), (4, 3, 2, 5)):
+        ch = spectral_chain(p, QuantumState(*st))
+        factors = [(radial_factor(p.omega, st[0], ch.A0), 1.37)]
+        for slot in (1, 2, 3):
+            gauge = gauge_for_slot(p, ch, slot)
+            x = 0.4 * math.pi / (2 * float(gauge.k))
+            factors += [(slot_factor(gauge, st[slot]), x),
+                        (slot_factor(gauge.shifted(-2), st[slot] + 1), x)]
+        for ev, x in factors:
+            for top in range(1, 6):
+                high = ev(x, top)
+                for order in range(top):
+                    assert hexes(high.truncated(order)) == hexes(ev(x, order))
+
+
+def test_factor_memo_is_keyed_by_the_factor_not_the_state():
+    """Two states with the same slot-3 data share that factor's jet at one
+    context, and a lower order is served from a higher one."""
+    p = params_for((2, 1, 1), MIXED, omega=1)
+    a, b = wavefunction(p, (0, 1, 2, 3)), wavefunction(p, (2, 0, 1, 3))
+    ctx = EvalPoint((1.1, 0.3, 0.6, 0.7))
+    ja = a.factor_jets(ctx, 3)
+    jb = b.factor_jets(ctx, 3)
+    assert ja[3] is jb[3] and ja[0] is not jb[0]
+    assert ja[3].coeffs[:3] == b.factor_jets(ctx, 2)[3].coeffs
+    assert [j.coeffs for j in a.factor_jets(EvalPoint(ctx), 3)] == [j.coeffs for j in ja]
 
 
 def test_in_cell():
