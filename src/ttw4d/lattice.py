@@ -10,11 +10,11 @@ nonzero OmegaPolys, and each coefficient tuple holds Fractions with no
 trailing zero.  Only the public constructors coerce and validate; the
 algebra builds its results from operands already in normal form through
 the trusted `_of` constructors, and only + and - have to drop cancelled
-terms.  A LatticeOperator memoizes its rule per state for its own
-lifetime, so an operator shared inside one expression (both sides of a
-commutator, the six orderings of a symmetrized triple, one M_1^- in the
-four m1 relations) computes each image once; the memo goes with the
-expression, and the only cache across expressions is the Xi image cache.
+terms.  Only leaves memoize: a LatticeOperator built from a rule keeps
+each state's image for its lifetime, so a leaf shared inside one expression
+(both sides of a commutator, one M_1^- in the four m1 relations) computes
+each image once; +, -, scale and @ build operators with no memo.  The Xi
+leaves belong to the parameter set (`xi_operator`); `xi_action` keeps nothing.
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .model import (QuantumState, SystemParams, enumerate_states, scaled_chain,
@@ -187,27 +186,33 @@ class LatticeVector:
 class LatticeOperator:
     """Exact linear operator given by a rule state -> LatticeVector.
 
-    Each instance memoizes its rule per state for its own lifetime, so the
-    operators an expression shares (the leaves of a commutator or of the six
-    orderings of a symmetrized triple) evaluate each image once.  Nothing is
-    cached beyond the instance.
+    An operator built from a rule is a leaf: it memoizes the rule per state
+    for its lifetime, so a leaf shared within an expression evaluates each
+    image once.  The operators +, -, scale and @ build come from the trusted
+    `_of` and keep no memo: each is asked for one state per evaluation.
     """
 
-    __slots__ = ("rule", "_memo")
+    __slots__ = ("_image",)
 
     def __init__(self, rule):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "_memo", {})
+        memo = {}
+
+        def image(st: QuantumState) -> LatticeVector:
+            vec = memo.get(st)
+            if vec is None:
+                vec = memo[st] = rule(st)
+            return vec
+        object.__setattr__(self, "_image", image)
+
+    @classmethod
+    def _of(cls, image) -> "LatticeOperator":
+        """Trusted constructor: image maps a QuantumState to its vector, unmemoized."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_image", image)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeOperator is immutable")
-
-    def _image(self, st: QuantumState) -> LatticeVector:
-        memo = self._memo
-        vec = memo.get(st)
-        if vec is None:
-            vec = memo[st] = self.rule(st)
-        return vec
 
     def __call__(self, state) -> LatticeVector:
         return self._image(QuantumState(*state))
@@ -219,17 +224,17 @@ class LatticeOperator:
         return LatticeVector._of(acc)
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator(lambda st: self._image(st) + other._image(st))
+        return LatticeOperator._of(lambda st: self._image(st) + other._image(st))
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator(lambda st: self._image(st) - other._image(st))
+        return LatticeOperator._of(lambda st: self._image(st) - other._image(st))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "LatticeOperator":
         c = _as_opoly(c)
-        return LatticeOperator(lambda st: self._image(st).scale(c))
+        return LatticeOperator._of(lambda st: self._image(st).scale(c))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, OmegaPoly)):
@@ -243,7 +248,7 @@ class LatticeOperator:
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         """Composition self ∘ other (other acts first)."""
-        return LatticeOperator(lambda st: self.on_vector(other._image(st)))
+        return LatticeOperator._of(lambda st: self.on_vector(other._image(st)))
 
 
 def commutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
@@ -256,12 +261,8 @@ def anticommutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
 
 def symmetrized_triple(a, b, c) -> LatticeOperator:
     """Full 6-permutation symmetrizer {A,B,C} (repeats counted)."""
-    ops = (a, b, c)
-    out = None
-    for i, j, k in itertools.permutations(range(3)):
-        term = ops[i] @ (ops[j] @ ops[k])
-        out = term if out is None else out + term
-    return out
+    first, *rest = [x @ (y @ z) for x, y, z in itertools.permutations((a, b, c))]
+    return sum(rest, first)
 
 
 def identity_operator() -> LatticeOperator:
@@ -404,8 +405,17 @@ def _xi_steps(params: SystemParams, i: int, sign: str):
     return head + tail
 
 
-@lru_cache(maxsize=262144)
-def _xi_cached(params: SystemParams, i: int, sign: str, state: QuantumState) -> LatticeVector:
+def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
+    """Exact action of the composite Xi_i^sign on a basis state.
+
+    Composes the primitive ladders with per-step parameter advancement; the
+    image is a single basis state with the same exact energy, or zero when
+    any intermediate step leaves the lattice.  An image off the chain or off
+    the energy raises ChainBroken.  Nothing is memoized (see `xi_operator`).
+    """
+    if i not in (1, 2, 3):
+        raise ValueError("i must be 1, 2 or 3")
+    state = QuantumState(*state)
     src = scaled_chain(params, state)
     st = [*state, *src[:3]]
     coeff = _walk(params, st, _xi_steps(params, i, sign))
@@ -421,21 +431,13 @@ def _xi_cached(params: SystemParams, i: int, sign: str, state: QuantumState) -> 
     return LatticeVector._of({target: coeff} if coeff.coeffs else {})
 
 
-def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
-    """Exact action of the composite Xi_i^sign on a basis state.
-
-    Composes the primitive ladders with per-step parameter advancement; the
-    image is a single basis state with the same exact energy, or zero when
-    any intermediate step leaves the lattice.  An image off the chain or off
-    the energy raises ChainBroken.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError("i must be 1, 2 or 3")
-    return _xi_cached(params, i, sign, QuantumState(*state))
-
-
 def xi_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
-    return LatticeOperator(lambda st: xi_action(i, sign, params, st))
+    """The parameter set's one Xi_i^sign leaf, kept in params._memo, so each
+    (i, sign, state) image is computed once per parameter set."""
+    memo, key = params._memo, ("xi", i, sign)
+    if key not in memo:
+        memo[key] = LatticeOperator(lambda st: xi_action(i, sign, params, st))
+    return memo[key]
 
 
 def xi1_closed_form(sign: str, params: SystemParams, state,
@@ -492,8 +494,8 @@ def Lpm_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
     nonzero).  Below-lattice Xi images contribute nothing.
     """
     state = QuantumState(*state)
-    plus = xi_action(i, "+", params, state)
-    minus = xi_action(i, "-", params, state)
+    plus = xi_operator(params, i, "+")(state)
+    minus = xi_operator(params, i, "-")(state)
     if sign == "+":
         return plus + minus
     if sign == "-":
@@ -564,8 +566,8 @@ def M1_minus_action(params: SystemParams, state,
     if A0 == 0 or A0 == p1 or A0 == -p1:
         raise DivisorSingular(f"A0 in {{0, +-p1}} at {state}")
     if convention == "xi":
-        va = xi_action(1, "+", params, state).scale(Fraction(1) / (A0 * (A0 + p1)))
-        vb = xi_action(1, "-", params, state).scale(Fraction(1) / (A0 * (A0 - p1)))
+        va = xi_operator(params, 1, "+")(state).scale(Fraction(1) / (A0 * (A0 + p1)))
+        vb = xi_operator(params, 1, "-")(state).scale(Fraction(1) / (A0 * (A0 - p1)))
     elif convention == "printed":
         va = Lpm_action(1, "-", params, state).scale(Fraction(1) / (A0 * (A0 + p1)))
         vb = Lpm_action(1, "+", params, state).scale(Fraction(1) / (A0 * (A0 - p1)))
@@ -686,12 +688,8 @@ def is_interior(params: SystemParams, state, margins=None) -> bool:
 def identity_states(params: SystemParams, count: int = 20):
     """Deterministic list of interior states: margins plus graded offsets."""
     m = interior_margins(params)
-    out = []
-    for off in multi_indices(4, 3):
-        out.append(QuantumState(*(b + o for b, o in zip(m, off))))
-        if len(out) == count:
-            break
-    return out
+    return [QuantumState(*(b + o for b, o in zip(m, off)))
+            for off in multi_indices(4, 3)[:count]]
 
 
 def xi_sweep(params: SystemParams, nmax: int = 6):

@@ -20,10 +20,10 @@ Conventions:
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .numcore import EvalPoint, Jet, OmegaPoly
@@ -61,6 +61,9 @@ class SystemParams:
     affine in (n0..n3) with rational coefficients; D is the lcm of their
     denominators and of the a_i's, so the D·A_j are integer affine forms
     (evaluated by `scaled_chain`) and Da = (D·a1, ..., D·a4) are integers.
+    The private dict `_memo` (not a field: eq, hash and repr ignore it)
+    holds what `spectral_chain` and `lattice.xi_operator` memoize, for the
+    lifetime of this instance only; an equal instance starts empty.
     """
     k1: Fraction
     k2: Fraction
@@ -85,8 +88,6 @@ class SystemParams:
                 raise ValueError("omega must be positive when fixed")
         k1, k2, k3, a1, a2, a3, a4 = (self.k1, self.k2, self.k3,
                                       self.a1, self.a2, self.a3, self.a4)
-        # the lru_caches in model/lattice hash the parameters on every lookup
-        object.__setattr__(self, "_hash", hash((k1, k2, k3, a1, a2, a3, a4, self.omega)))
         for name, x in (("pq1", k1), ("pq2", k2 / k1), ("pq3", k3 / k2)):
             object.__setattr__(self, name, (x.numerator, x.denominator))
         # affine forms (const, n1, n2, n3) of the chain A2 -> A1 -> A0 (A1 has
@@ -106,9 +107,7 @@ class SystemParams:
         object.__setattr__(self, "Da", scaled((a1, a2, a3, a4)))
         object.__setattr__(self, "_chain", (scaled(A0), scaled(A1), scaled(A2)))
         object.__setattr__(self, "_energy", scaled(Ex))
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_memo", {})
 
     def pq(self, i: int):
         return (self.pq1, self.pq2, self.pq3)[i - 1]
@@ -136,9 +135,7 @@ class SystemParams:
         return self.k3 ** 2 * (Fraction(1, 4) - self.a3 ** 2)
 
     def with_omega(self, omega) -> "SystemParams":
-        w = None if omega is None else Fraction(omega)
-        return SystemParams(self.k1, self.k2, self.k3,
-                            self.a1, self.a2, self.a3, self.a4, w)
+        return replace(self, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -166,14 +163,16 @@ def scaled_chain(params: SystemParams, state):
     return dA0, c1 + y2 * n2 + y3 * n3, c2 + z3 * n3, -2 * (2 * n0 * D + dA0 + D)
 
 
-@lru_cache(maxsize=65536)
 def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     """Derived parameter chain and energy for a lattice state.
 
     A0..A2 and E come from the integer chain.  The energy is computed twice
     — through A0 and through its fully expanded linear form — and the two
-    are asserted equal (exact, in integers).
+    are asserted equal (exact, in integers).  Memoized in params._memo.
     """
+    ch = params._memo.get(state)
+    if ch is not None:
+        return ch
     state = QuantumState(*state)
     n0, n1, n2, n3 = state
     dA0, dA1, dA2, dE = scaled_chain(params, state)
@@ -187,7 +186,9 @@ def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     ell3 = -k3 ** 2 * (2 * n3 + a3 + a4 + 1) ** 2
     ell2 = k2 ** 2 * Fraction(1, 4) - k2 ** 2 * (2 * n2 + a2 + A2 + 1) ** 2
     ell1 = k1 ** 2 - A0 ** 2
-    return SpectralData(A2, A1, A0, ell3, ell2, ell1, OmegaPoly((0, Fraction(dE, D))))
+    ch = params._memo[state] = SpectralData(A2, A1, A0, ell3, ell2, ell1,
+                                            OmegaPoly((0, Fraction(dE, D))))
+    return ch
 
 
 @dataclass(frozen=True)
@@ -365,12 +366,7 @@ def potential_v0(params: SystemParams, point) -> float:
 # ---------------------------------------------------------------------------
 
 def enumerate_states(nmax: int):
-    rng = range(nmax + 1)
-    for n0 in rng:
-        for n1 in rng:
-            for n2 in rng:
-                for n3 in rng:
-                    yield QuantumState(n0, n1, n2, n3)
+    return map(QuantumState._make, itertools.product(range(nmax + 1), repeat=4))
 
 
 def degeneracy_classes(params: SystemParams, nmax: int):

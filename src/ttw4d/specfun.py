@@ -36,6 +36,11 @@ class JacobiSpec:
                         (s - 1) * s * (s - 2), 2 * (m + a - 1) * (m + b - 1) * s))
         return tuple(out)
 
+    @cached_property
+    def degree1(self):
+        """(d0, d1) of P_1 = d0 + d1 x, built on first use."""
+        return Fraction(self.a - self.b, 2), Fraction(self.a + self.b + 2, 2)
+
 
 @dataclass(frozen=True)
 class LaguerreSpec:
@@ -53,7 +58,8 @@ def jacobi_eval(spec: JacobiSpec, x):
     if n == 0:
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
     p_prev = 1  # P_0
-    p_cur = Fraction(a - b, 2) + Fraction(a + b + 2, 2) * x
+    d0, d1 = spec.degree1
+    p_cur = d0 + d1 * x
     for c1, c2, c3, c4 in spec.recurrence:
         p_next = (c2 * p_cur + c3 * (x * p_cur) - c4 * p_prev) / c1
         p_prev, p_cur = p_cur, p_next

@@ -253,9 +253,6 @@ def test_full_battery_default_grid(tmp_path, capsys):
     assert sum(has211) == 2  # k=(2,1,1) under both a-tuples
 
 
-# The Xi cache is cleared before and after: with the patched _xi_steps the
-# run would otherwise be served images cached from the real ladders, and
-# later tests would be served the broken ones.
 def test_broken_xi_reports_fail(tmp_path, capsys, monkeypatch):
     """A ladder that leaves the chain gives a failing case, not a traceback."""
     steps = lattice._xi_steps
@@ -265,21 +262,19 @@ def test_broken_xi_reports_fail(tmp_path, capsys, monkeypatch):
         return steps(params, i, sign) + extra
 
     monkeypatch.setattr(lattice, "_xi_steps", one_k0_step_too_many)
-    lattice._xi_cached.cache_clear()
-    try:
-        rep = tmp_path / "xi.json"
-        code, out, _ = run_main(["verify", "--suite", "xi", "--k", "2,1,1",
-                                 "--report", str(rep)], capsys)
-        assert code == 1
-        assert "overall: FAIL" in out
-        docs = json.loads(rep.read_text())
-        assert len(docs) == len(cli.DEFAULT_A_GRID)
-        for doc in docs:
-            failing = [c["id"] for c in doc["cases"] if not c["pass"]]
-            assert failing and all("Xi_1^+" in cid for cid in failing), failing
-        p = SystemParams(2, 1, 1, *(Fraction(1, 2),) * 4)
-        witnesses = lattice.xi_class_check(p, nmax=3)
-        assert witnesses
-        assert all((i, sign) == (1, "+") for _, i, sign, _ in witnesses)
-    finally:
-        lattice._xi_cached.cache_clear()
+    p = SystemParams(2, 1, 1, *(Fraction(1, 2),) * 4)
+    with pytest.raises(lattice.ChainBroken):
+        lattice.xi_action(1, "+", p, (3, 2, 2, 2))
+    rep = tmp_path / "xi.json"
+    code, out, _ = run_main(["verify", "--suite", "xi", "--k", "2,1,1",
+                             "--report", str(rep)], capsys)
+    assert code == 1
+    assert "overall: FAIL" in out
+    docs = json.loads(rep.read_text())
+    assert len(docs) == len(cli.DEFAULT_A_GRID)
+    for doc in docs:
+        failing = [c["id"] for c in doc["cases"] if not c["pass"]]
+        assert failing and all("Xi_1^+" in cid for cid in failing), failing
+    witnesses = lattice.xi_class_check(p, nmax=3)
+    assert witnesses
+    assert all((i, sign) == (1, "+") for _, i, sign, _ in witnesses)

@@ -35,7 +35,9 @@ from ttw4d.lattice import (
     xi_action,
     xi_class_check,
     xi_operator,
+    xi_sweep,
 )
+from ttw4d import lattice
 from ttw4d.cli import DEFAULT_A_GRID, DEFAULT_K_GRID
 from ttw4d.model import (QuantumState, SystemParams, enumerate_states, parse_rational,
                          spectral_chain)
@@ -158,6 +160,52 @@ def test_operator_memo_is_per_instance():
     assert calls["A", st] == 1
     counted("A", 1, "+")(st)
     assert calls["A", st] == 2
+    # one leaf shared by two separately built expressions
+    calls.clear()
+    A, B = counted("A", 1, "+"), counted("B", 2, "-")
+    commutator(A, B)(st)
+    symmetrized_triple(A, A, B)(st)
+    assert len(calls) > 2 and set(calls.values()) == {1}, calls
+
+
+@pytest.fixture
+def xi_calls(monkeypatch):
+    """Counts each (i, sign, state) that lattice.xi_action computes."""
+    calls = Counter()
+    real = lattice.xi_action
+
+    def counted(i, sign, params, state):
+        calls[i, sign, tuple(state)] += 1
+        return real(i, sign, params, state)
+
+    monkeypatch.setattr(lattice, "xi_action", counted)
+    return calls
+
+
+def test_xi_sweep_memoizes_nothing(xi_calls):
+    p = params_for((2, 1, 1), MIXED)
+    xi_sweep(p, 3)
+    xi_sweep(p, 3)
+    assert len(xi_calls) == 6 * 4 ** 4 and set(xi_calls.values()) == {2}
+
+
+def test_xi_images_are_owned_by_the_parameter_set(xi_calls):
+    """Identities of two kinds at overlapping states compute each Xi image
+    once per parameter set; an equal but fresh parameter set computes them
+    again."""
+    p = params_for((2, 1, 1), MIXED)
+    states = identity_states(p, 4)
+    for st in states:
+        check_identity(1, "bracket-pm", p, st)
+        check_identity(1, "cubic", p, st)
+    assert len(xi_calls) > 2 * len(states) and set(xi_calls.values()) == {1}, xi_calls
+    seen = set(xi_calls)
+    q = params_for((2, 1, 1), MIXED)
+    assert q == p and hash(q) == hash(p)
+    for st in states:
+        check_identity(1, "bracket-pm", q, st)
+        check_identity(1, "cubic", q, st)
+    assert set(xi_calls) == seen and set(xi_calls.values()) == {2}
 
 
 # -- primitive ladders ------------------------------------------------------------

@@ -47,6 +47,18 @@ def test_params_validation():
         params_for((1, 1, 1)).with_omega(-1)
 
 
+def test_memo_is_ignored_by_eq_hash_and_repr():
+    """Two equal parameter sets stay equal when only one has memoized data,
+    and neither is served the other's memo."""
+    p, q = params_for((2, 1, 1), MIXED, 1), params_for((2, 1, 1), MIXED, 1)
+    st = QuantumState(1, 2, 0, 3)
+    chain = spectral_chain(p, st)
+    assert spectral_chain(p, st) is chain
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert {p: "p"}[q] == "p"
+    assert spectral_chain(q, st) == chain and spectral_chain(q, st) is not chain
+
+
 def test_ratio_decompositions():
     p = params_for((F(3, 2), F(3, 2), 1))
     assert p.pq1 == (3, 2)
