@@ -1,10 +1,10 @@
 """Tensor calculus for the diagonal model metric.
 
 The metric is g = diag(1, r^2, r^2 sin^2(k1 t1), r^2 sin^2(k1 t1) sin^2(k2 t2))
-on (r, t1, t2, t3).  Everything downstream — Christoffel symbols, Riemann,
-Ricci, scalar curvature, Weyl tensor and its quadratic invariant, and the
-Laplace–Beltrami operator — is produced from jets of the closed-form
-components; no finite differences and no symbolic algebra.
+on (r, t1, t2, t3).  Christoffel symbols, Riemann, Ricci, R, the Weyl tensor
+and invariant, and the Laplace–Beltrami operator all come from jets of the
+closed-form components, in plain floats with every sum in C index order;
+no arrays, no finite differences and no symbolic algebra.
 
 Sign conventions (frozen once, checked against closed forms everywhere):
     R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
 
 from .diffops import DiffOperator, build_h, coords
 from .model import SystemParams, in_cell, potential_v0
@@ -44,18 +43,35 @@ def metric_diag_jets(params: SystemParams, point, order: int):
 
 @dataclass
 class CurvatureReport:
-    point: tuple
-    christoffel: np.ndarray      # Gamma^rho_{mu nu}, shape (4,4,4)
-    riemann: np.ndarray          # fully covariant R_{rho sigma mu nu}
-    ricci: np.ndarray            # Ricci_{sigma nu}
+    """Curvature at one cell point; tensors are nested lists, riemann[rho][sigma][mu][nu]."""
+    riemann: list                # fully covariant R_{rho sigma mu nu}
+    ricci: list                  # Ricci_{sigma nu}
     R: float                     # scalar curvature
-    weyl: np.ndarray             # fully covariant C_{abcd}
+    weyl: list                   # fully covariant C_{abcd}
     W: float                     # sqrt(3 W.W)
-    gdiag: np.ndarray            # metric diagonal at the point
-    ginv: np.ndarray             # inverse metric diagonal
+    gdiag: list                  # metric diagonal at the point
+    ginv: list                   # inverse metric diagonal
 
 
 _AXES = range(4)
+INDEX4 = tuple(product(_AXES, repeat=4))    # every (a, b, c, d) in C order
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right float sum from 0.0 (the built-in compensates from Python 3.12)."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def _weyl_square(weyl, ginv) -> float:
+    """W_{abcd} W^{abcd} through the diagonal inverse metric, indices in C order."""
+    acc = 0.0
+    for a, b, c, d in INDEX4:
+        w = weyl[a][b][c][d]
+        acc += w * w * ginv[a] * ginv[b] * ginv[c] * ginv[d]
+    return acc
 
 
 def curvature_at(params: SystemParams, point) -> CurvatureReport:
@@ -64,85 +80,71 @@ def curvature_at(params: SystemParams, point) -> CurvatureReport:
     if not in_cell(params, point):
         raise ValueError(f"point {point} outside the principal cell")
     g = metric_diag_jets(params, point, 2)
-    g1 = [gj.truncated(1) for gj in g]
-    ginv1 = [gj.reciprocal() for gj in g1]
+    ginv1 = [gj.truncated(1).reciprocal() for gj in g]
     unit = [tuple(1 if j == i else 0 for j in _AXES) for i in _AXES]
 
-    # Christoffel symbols as order-1 jets (their first derivatives feed Riemann)
+    # Christoffel symbols as order-1 jets, read once as plain floats:
+    # chris[rho][mu][nu] = Gamma^rho_{mu nu}, dchris[rho][mu][nu][a] its d_a
     dg = [[g[a].derivative_jet(unit[m]) for m in _AXES] for a in _AXES]
-    gamma = [[[None] * 4 for _ in _AXES] for _ in _AXES]
-    for rho in _AXES:
-        for mu in _AXES:
-            for nu in _AXES:
-                # 0.5 g^{rho rho} (d_mu g_{rho nu} + d_nu g_{rho mu} - d_rho g_{mu nu})
-                acc = None
-                if nu == rho:
-                    acc = dg[rho][mu]
-                if mu == rho:
-                    acc = dg[rho][nu] if acc is None else acc + dg[rho][nu]
-                if mu == nu:
-                    acc = -dg[mu][rho] if acc is None else acc - dg[mu][rho]
-                if acc is None:
-                    gamma[rho][mu][nu] = Jet.constant(0.0, point, 1)
-                else:
-                    gamma[rho][mu][nu] = ginv1[rho] * acc * 0.5
-
-    chris = np.array([[[gamma[r_][m][n].value for n in _AXES] for m in _AXES]
-                      for r_ in _AXES])
+    chris = [[[0.0] * 4 for _ in _AXES] for _ in _AXES]
+    dchris = [[[[0.0] * 4 for _ in _AXES] for _ in _AXES] for _ in _AXES]
+    for rho, mu, nu in product(_AXES, repeat=3):
+        # 0.5 g^{rho rho} (d_mu g_{rho nu} + d_nu g_{rho mu} - d_rho g_{mu nu})
+        acc = None
+        if nu == rho:
+            acc = dg[rho][mu]
+        if mu == rho:
+            acc = dg[rho][nu] if acc is None else acc + dg[rho][nu]
+        if mu == nu:
+            acc = -dg[mu][rho] if acc is None else acc - dg[mu][rho]
+        if acc is not None:
+            gamma = ginv1[rho] * acc * 0.5
+            chris[rho][mu][nu] = gamma.value
+            dchris[rho][mu][nu] = [gamma.derivative(e) for e in unit]
 
     # Riemann with one index up, then lowered through the diagonal metric
-    riem_up = np.zeros((4, 4, 4, 4))
-    for rho in _AXES:
-        for sig in _AXES:
-            for mu in _AXES:
-                for nu in _AXES:
-                    val = (gamma[rho][nu][sig].derivative(unit[mu])
-                           - gamma[rho][mu][sig].derivative(unit[nu]))
-                    for lam in _AXES:
-                        val += (chris[rho][mu][lam] * chris[lam][nu][sig]
-                                - chris[rho][nu][lam] * chris[lam][mu][sig])
-                    riem_up[rho, sig, mu, nu] = val
+    def riemann_up(rho, sig, mu, nu):
+        val = dchris[rho][nu][sig][mu] - dchris[rho][mu][sig][nu]
+        for lam in _AXES:
+            val += (chris[rho][mu][lam] * chris[lam][nu][sig]
+                    - chris[rho][nu][lam] * chris[lam][mu][sig])
+        return val
 
-    gdiag = np.array([gj.value for gj in g])
-    ginv = 1.0 / gdiag
-    riem = np.einsum("r,rsmn->rsmn", gdiag, riem_up)
-    ricci = np.einsum("msmn->sn", riem_up)
-    scal = float(np.sum(ginv * np.diag(ricci)))
+    riem_up = [[[[riemann_up(r_, s, m, n) for n in _AXES] for m in _AXES] for s in _AXES]
+               for r_ in _AXES]
+    gdiag = [gj.value for gj in g]
+    ginv = [1.0 / x for x in gdiag]
+    riem = [[[[gdiag[r_] * x for x in row] for row in plane] for plane in riem_up[r_]]
+            for r_ in _AXES]
+    ricci = [[ordered_sum(riem_up[m][s][m][n] for m in _AXES) for n in _AXES] for s in _AXES]
+    scal = ordered_sum(ginv[i] * ricci[i][i] for i in _AXES)
 
     # Weyl: trace-corrected Riemann (4D coefficients)
-    weyl = riem.copy()
-    for a in _AXES:
-        for b in _AXES:
-            for c in _AXES:
-                for d in _AXES:
-                    corr = 0.0
-                    if a == c:
-                        corr -= 0.5 * gdiag[a] * ricci[b, d]
-                    if a == d:
-                        corr += 0.5 * gdiag[a] * ricci[b, c]
-                    if b == d:
-                        corr -= 0.5 * gdiag[b] * ricci[a, c]
-                    if b == c:
-                        corr += 0.5 * gdiag[b] * ricci[a, d]
-                    if a == c and b == d:
-                        corr += (scal / 6.0) * gdiag[a] * gdiag[b]
-                    if a == d and b == c:
-                        corr -= (scal / 6.0) * gdiag[a] * gdiag[b]
-                    weyl[a, b, c, d] += corr
+    def weyl_entry(a, b, c, d):
+        corr = 0.0
+        if a == c:
+            corr -= 0.5 * gdiag[a] * ricci[b][d]
+        if a == d:
+            corr += 0.5 * gdiag[a] * ricci[b][c]
+        if b == d:
+            corr -= 0.5 * gdiag[b] * ricci[a][c]
+        if b == c:
+            corr += 0.5 * gdiag[b] * ricci[a][d]
+        if a == c and b == d:
+            corr += (scal / 6.0) * gdiag[a] * gdiag[b]
+        if a == d and b == c:
+            corr -= (scal / 6.0) * gdiag[a] * gdiag[b]
+        return riem[a][b][c][d] + corr
 
-    ww = float(np.einsum("abcd,abcd,a,b,c,d->", weyl, weyl, ginv, ginv, ginv, ginv))
-    winv = math.sqrt(max(3.0 * ww, 0.0))
-    return CurvatureReport(point, chris, riem, ricci, scal, weyl, winv, gdiag, ginv)
+    weyl = [[[[weyl_entry(a, b, c, d) for d in _AXES] for c in _AXES] for b in _AXES]
+            for a in _AXES]
+    winv = math.sqrt(3.0 * _weyl_square(weyl, ginv))
+    return CurvatureReport(riem, ricci, scal, weyl, winv, gdiag, ginv)
 
 
 def weyl_invariant(report: CurvatureReport) -> float:
     """sqrt(3 W_{abcd} W^{abcd}) recomputed from a report's Weyl tensor."""
-    gi = report.ginv
-    ww = float(np.einsum("abcd,abcd,a,b,c,d->", report.weyl, report.weyl,
-                         gi, gi, gi, gi))
-    if ww < -1e-12:
-        raise ArithmeticError("negative Weyl contraction: engine inconsistency")
-    return math.sqrt(3.0 * max(ww, 0.0))
+    return math.sqrt(3.0 * _weyl_square(report.weyl, report.ginv))
 
 
 # -- closed forms for comparison ------------------------------------------------

@@ -19,7 +19,7 @@ class JacobiSpec:
 
     The recurrence below is well defined whenever a + b > -2, which also
     covers the index-shifted parameters (a -> a - 2) produced by the
-    simultaneous n/a ladders.
+    simultaneous n/a ladders; `recurrence` checks it once per spec.
     """
     n: int
     a: Fraction
@@ -29,6 +29,8 @@ class JacobiSpec:
     def recurrence(self):
         """(c1, c2, c3, c4) of each degree step m = 2..n, built on first use."""
         a, b = self.a, self.b
+        if self.n >= 2 and a + b <= -2:
+            raise ValueError("jacobi recurrence needs a + b > -2")
         out = []
         for m in range(2, self.n + 1):
             s = 2 * m + a + b
@@ -50,11 +52,9 @@ class LaguerreSpec:
 
 def jacobi_eval(spec: JacobiSpec, x):
     """Value of the Jacobi polynomial P_n^{(a,b)} at x (Fraction or Jet)."""
-    n, a, b = spec.n, spec.a, spec.b
+    n = spec.n
     if n < 0:
         raise ValueError("jacobi degree must be >= 0")
-    if n >= 2 and a + b <= -2:
-        raise ValueError("jacobi recurrence needs a + b > -2")
     if n == 0:
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
     p_prev = 1  # P_0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -43,6 +44,43 @@ def test_frozen_curvature_probes():
         rep = curvature_at(p, pt)
         assert rep.R == pytest.approx(R, abs=1e-12 * max(1, abs(R)))
         assert rep.W == pytest.approx(W, abs=1e-12 * max(1, abs(W)))
+
+
+# Per FROZEN_PROBES point: float.hex of R and W, and a sha256 over the
+# float.hex of every Riemann, Ricci, Weyl, gdiag and ginv entry in C order.
+FROZEN_BITS = [
+    ("0x1.7fffffffffffdp+2", "0x1.8000000000001p+3",
+     "b469c6bc5e2f195d2876698b29f22f653a4d1c1bf0913d0f78a2016ccd18749e"),
+    ("-0x1.cd3c9ce063cdep-52", "0x1.0afe3bd9c13b9p-49",
+     "6648bffc98a83392af1020e970ac6638bc2376b3f8a3a4b037fd0f3b5de60481"),
+    ("0x1.dfffffffffffap+2", "0x1.469b31239873bp-46",
+     "f85d1ab519ba08e706f87dcd9e3043a2a093623ce3665c54b7f14d7446dfd2e8"),
+    ("0x1.1c71c71c71c71p+2", "0x1.c71c71c71c720p+1",
+     "8bf0f77763490233439ab62452426b2ccc8241f3e240b2dfa46ccf13afb2c9d1"),
+    ("0x1.1555555555556p+5", "0x1.aaaaaaaaaaaabp+3",
+     "e588ce024036e6fd03cd76b929b05e4cdd3d91e200f735c8b023d99bf495fdf9"),
+]
+
+
+def _leaves(x):
+    if isinstance(x, float):
+        yield x
+    else:
+        for y in x:
+            yield from _leaves(y)
+
+
+def test_frozen_curvature_bits():
+    """The curvature engine's floats are pinned bit for bit, not to a tolerance."""
+    for (k, r, t1, _, _), (R, W, digest) in zip(FROZEN_PROBES, FROZEN_BITS, strict=True):
+        p = params_for(k)
+        rep = curvature_at(p, (r, t1, 0.6 / float(p.k2), 0.7 / float(p.k3)))
+        assert (float.hex(rep.R), float.hex(rep.W)) == (R, W)
+        h = hashlib.sha256()
+        for name in ("riemann", "ricci", "weyl", "gdiag", "ginv"):
+            for v in _leaves(getattr(rep, name)):
+                h.update(float.hex(v).encode() + b"\n")
+        assert h.hexdigest() == digest, (k, r, t1)
 
 
 def test_metric_diagonal_and_determinant():
