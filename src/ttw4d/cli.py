@@ -27,6 +27,7 @@ SUITE_ORDER = ("eigen", "ladders", "xi", "algebra", "m1",
                "curvature", "conformal", "example211")
 SUITE_IDS = SUITE_ORDER + ("all",)
 CONVENTIONS = ("printed", "antisymmetric", "auto")
+FORMATS = ("json", "csv")
 
 DEFAULT_K_GRID = (("1", "1", "1"), ("2", "1", "1"),
                   ("3/2", "3/2", "1"), ("2", "1", "2"))
@@ -113,27 +114,23 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 def spectrum_table(params: SystemParams, nmax: int):
     """Rows (state, A0, ell1..ell3, E) sorted by E at omega=1, ground first.
 
-    States sharing the same exact energy polynomial get the same class tag.
+    States sharing the same exact energy polynomial get the same class tag,
+    numbered in row order.
     """
     classes = degeneracy_classes(params, nmax)
-    order = sorted(classes.items(),
-                   key=lambda kv: (-kv[0].coeff(1), sorted(kv[1])))
+    chains = sorted(((spectral_chain(params, st), st) for st in enumerate_states(nmax)),
+                    key=lambda cs: (-cs[0].E.coeff(1), cs[1]))
     tags = {}
-    for idx, (E, _) in enumerate(order, start=1):
-        tags[E] = f"g{idx}"
     rows = []
-    for st in enumerate_states(nmax):
-        ch = spectral_chain(params, st)
+    for ch, st in chains:
         rows.append({"state": list(st),
                      "A0": str(ch.A0),
                      "ell1": str(ch.ell1), "ell2": str(ch.ell2),
                      "ell3": str(ch.ell3),
                      "E": str(ch.E),
                      "E_coeffs": [str(c) for c in ch.E.coeffs],
-                     "class": tags[ch.E],
+                     "class": tags.setdefault(ch.E, f"g{len(tags) + 1}"),
                      "degeneracy": len(classes[ch.E])})
-    rows.sort(key=lambda row: (-Fraction(row["E_coeffs"][1]) if len(row["E_coeffs"]) > 1
-                               else Fraction(0), row["state"]))
     return rows
 
 
@@ -216,6 +213,8 @@ def read_config_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key == "format" and val not in FORMATS:
+                raise ValueError(f"{path}:{lineno}: unknown report format {val!r}")
             out[key] = val
     return out
 
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", help="a1,a2,a3,a4 as rationals")
         p.add_argument("--nmax", type=int)
         p.add_argument("--report", help="write a machine-readable report here")
-        p.add_argument("--format", choices=["json", "csv"])
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--config", help="flat key=value config file; flags win")
 
     vp = sub.add_parser("verify", help="run a verification suite")

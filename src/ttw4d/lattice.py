@@ -15,6 +15,8 @@ each state's image for its lifetime, so a leaf shared inside one expression
 (both sides of a commutator, one M_1^- in the four m1 relations) computes
 each image once; +, -, scale and @ build operators with no memo.  The Xi
 leaves belong to the parameter set (`xi_operator`); `xi_action` keeps nothing.
+L^{+-}, P^{(+-)} and M_1^- are expressions over the Xi leaves and diagonal
+leaves (the source-state divisors), each wrapped once in a leaf.
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
@@ -266,7 +268,7 @@ def symmetrized_triple(a, b, c) -> LatticeOperator:
 
 
 def identity_operator() -> LatticeOperator:
-    return LatticeOperator(lambda st: LatticeVector.basis(st))
+    return diagonal_operator(lambda st: 1)
 
 
 def diagonal_operator(fn) -> LatticeOperator:
@@ -434,6 +436,8 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
 def xi_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
     """The parameter set's one Xi_i^sign leaf, kept in params._memo, so each
     (i, sign, state) image is computed once per parameter set."""
+    if i not in (1, 2, 3):
+        raise ValueError("i must be 1, 2 or 3")
     memo, key = params._memo, ("xi", i, sign)
     if key not in memo:
         memo[key] = LatticeOperator(lambda st: xi_action(i, sign, params, st))
@@ -478,37 +482,40 @@ def xi1_closed_form(sign: str, params: SystemParams, state,
 # symmetry operators L_i^{+-}, P_i^{(+-)}, M_1^-
 # ---------------------------------------------------------------------------
 
-def _divisor_A(params: SystemParams, state: QuantumState, i: int) -> Fraction:
-    """A_{i-1} evaluated at the (source) state: A0, A1 or A2; never zero."""
-    ch = spectral_chain(params, state)
-    A = (ch.A0, ch.A1, ch.A2)[i - 1]
-    if A == 0:
-        raise DivisorSingular(f"A_{i-1} = 0 at {state}")
-    return A
+def _divisor(params: SystemParams, label: str, den, num=1) -> LatticeOperator:
+    """Diagonal leaf num / den(chain) at the source state; a vanishing
+    divisor raises DivisorSingular."""
+    def value(st):
+        d = den(spectral_chain(params, st))
+        if d == 0:
+            raise DivisorSingular(f"{label} = 0 at {tuple(st)}")
+        return num / d
+    return diagonal_operator(value)
 
 
-def Lpm_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
-    """L_i^+ = Xi_i^+ + Xi_i^-;  L_i^- = k_i (Xi_i^+ - Xi_i^-) / A_{i-1}.
-
-    The divisor is evaluated at the source state (positive a's keep it
-    nonzero).  Below-lattice Xi images contribute nothing.
-    """
-    state = QuantumState(*state)
-    plus = xi_operator(params, i, "+")(state)
-    minus = xi_operator(params, i, "-")(state)
-    if sign == "+":
-        return plus + minus
-    if sign == "-":
-        return (plus - minus).scale(params.k(i) / _divisor_A(params, state, i))
-    raise ValueError("sign must be '+' or '-'")
+def _k_over_A(params: SystemParams, i: int) -> LatticeOperator:
+    """k_i / A_{i-1} at the source state (positive a's keep it finite)."""
+    return _divisor(params, f"A_{i - 1}", lambda ch: (ch.A0, ch.A1, ch.A2)[i - 1],
+                    params.k(i))
 
 
 def lpm_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
-    return LatticeOperator(lambda st: Lpm_action(i, sign, params, st))
+    """L_i^+ = Xi_i^+ + Xi_i^-;  L_i^- = k_i (Xi_i^+ - Xi_i^-) / A_{i-1}.
+
+    Below-lattice Xi images contribute nothing.
+    """
+    xp, xm = xi_operator(params, i, "+"), xi_operator(params, i, "-")
+    if sign == "+":
+        expr = xp + xm
+    elif sign == "-":
+        expr = (xp - xm) @ _k_over_A(params, i)
+    else:
+        raise ValueError("sign must be '+' or '-'")
+    return LatticeOperator(expr._image)
 
 
-def P_action(i: int, sign: str, params: SystemParams, state,
-             convention: str = "antisymmetric") -> LatticeVector:
+def p_operator(params: SystemParams, i: int, sign: str,
+               convention: str = "antisymmetric") -> LatticeOperator:
     """Diagonal products of Xi's.
 
     P_i^(+) = Xi- Xi+ + Xi+ Xi-  (both conventions agree).
@@ -517,25 +524,18 @@ def P_action(i: int, sign: str, params: SystemParams, state,
     P_i^(+); under "antisymmetric" it is k_i (Xi+ Xi- - Xi- Xi+) / A_{i-1},
     which is what the bracket [L+, L-] actually closes on.
     """
-    state = QuantumState(*state)
-    xp = xi_operator(params, i, "+")
-    xm = xi_operator(params, i, "-")
+    xp, xm = xi_operator(params, i, "+"), xi_operator(params, i, "-")
     if sign == "+":
-        return (xm @ xp + xp @ xm)(state)
-    if sign != "-":
+        expr = xm @ xp + xp @ xm
+    elif sign != "-":
         raise ValueError("sign must be '+' or '-'")
-    A = _divisor_A(params, state, i)
-    k = params.k(i)
-    if convention == "printed":
-        return (xp @ xm + xm @ xp)(state).scale(k / A)
-    if convention == "antisymmetric":
-        return (xp @ xm - xm @ xp)(state).scale(k / A)
-    raise ValueError(f"unknown P convention {convention!r}")
-
-
-def p_operator(params: SystemParams, i: int, sign: str,
-               convention: str = "antisymmetric") -> LatticeOperator:
-    return LatticeOperator(lambda st: P_action(i, sign, params, st, convention))
+    elif convention == "printed":
+        expr = (xp @ xm + xm @ xp) @ _k_over_A(params, i)
+    elif convention == "antisymmetric":
+        expr = (xp @ xm - xm @ xp) @ _k_over_A(params, i)
+    else:
+        raise ValueError(f"unknown P convention {convention!r}")
+    return LatticeOperator(expr._image)
 
 
 def s1_value(params: SystemParams, state) -> OmegaPoly:
@@ -545,9 +545,8 @@ def s1_value(params: SystemParams, state) -> OmegaPoly:
     return hh * ((ch.A1 ** 2 - params.a1 ** 2) * Fraction(-1, 16))
 
 
-def M1_minus_action(params: SystemParams, state,
-                    convention: str = "xi") -> LatticeVector:
-    """Action of the extra symmetry M_1^-.
+def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOperator:
+    """The extra symmetry M_1^-.
 
     convention="xi" (the recorded working form):
         M_1^- = -1/(4 q1) [ Xi_1^+ / (A0 (A0+p1)) + Xi_1^- / (A0 (A0-p1)) ]
@@ -557,29 +556,28 @@ def M1_minus_action(params: SystemParams, state,
 
     convention="printed" replaces Xi_1^+ -> L_1^-, Xi_1^- -> L_1^+ over the
     same divisors (the typeset form); it does not satisfy the relations and
-    is kept for regression against the source.
+    is kept for regression against the source.  The S_1 term acts first, so
+    at A0 in {0, +-p1} DivisorSingular is raised before any Xi image.
     """
-    state = QuantumState(*state)
-    ch = spectral_chain(params, state)
-    A0 = ch.A0
     p1, q1 = params.pq1
-    if A0 == 0 or A0 == p1 or A0 == -p1:
-        raise DivisorSingular(f"A0 in {{0, +-p1}} at {state}")
     if convention == "xi":
-        va = xi_operator(params, 1, "+")(state).scale(Fraction(1) / (A0 * (A0 + p1)))
-        vb = xi_operator(params, 1, "-")(state).scale(Fraction(1) / (A0 * (A0 - p1)))
+        a, b = xi_operator(params, 1, "+"), xi_operator(params, 1, "-")
     elif convention == "printed":
-        va = Lpm_action(1, "-", params, state).scale(Fraction(1) / (A0 * (A0 + p1)))
-        vb = Lpm_action(1, "+", params, state).scale(Fraction(1) / (A0 * (A0 - p1)))
+        a, b = lpm_operator(params, 1, "-"), lpm_operator(params, 1, "+")
     else:
         raise ValueError(f"unknown M1 convention {convention!r}")
-    out = (va + vb).scale(Fraction(-1, 4 * q1))
-    diag = LatticeVector.basis(state, s1_value(params, state) / (A0 * A0 - p1 * p1))
-    return out + diag
+    s1 = diagonal_operator(lambda st: s1_value(params, st))
+    expr = (s1 @ _divisor(params, "A0^2 - p1^2", lambda ch: ch.A0 ** 2 - p1 * p1)
+            + Fraction(-1, 4 * q1)
+            * (a @ _divisor(params, "A0 (A0+p1)", lambda ch: ch.A0 * (ch.A0 + p1))
+               + b @ _divisor(params, "A0 (A0-p1)", lambda ch: ch.A0 * (ch.A0 - p1))))
+    return LatticeOperator(expr._image)
 
 
-def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOperator:
-    return LatticeOperator(lambda st: M1_minus_action(params, st, convention))
+def M1_minus_action(params: SystemParams, state,
+                    convention: str = "xi") -> LatticeVector:
+    """M_1^- on one basis state (see `m1_minus_operator`)."""
+    return m1_minus_operator(params, convention)(state)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +610,10 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     state = QuantumState(*state)
     if which not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {which!r}")
+    if convention not in ("printed", "antisymmetric"):
+        raise ValueError(f"unknown P convention {convention!r}")
+    if variant not in ("printed", "corrected"):
+        raise ValueError(f"unknown variant {variant!r}")
     if which == "cross-commute":
         Lpm = {(j, s): lpm_operator(params, j, s) for j in (1, 2, 3) for s in "+-"}
         for j in (1, 2, 3):
@@ -630,8 +632,6 @@ def check_identity(i: int, which: str, params: SystemParams, state,
                             return r
         return LatticeVector.zero()
 
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
     ksq = params.k(i) ** 2
     q = Fraction(params.pq(i)[1])
     al = ALPHA_PRINTED[i - 1]

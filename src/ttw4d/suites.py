@@ -21,9 +21,9 @@ from . import geometry
 from .diffops import (build_example_L1plus, build_index_ladder,
                       build_jacobi_ladder, build_radial_ladder, coords,
                       example211_scalar)
-from .lattice import (DivisorSingular, LatticeVector, Lpm_action,
-                      check_identity, commutator, h_operator, identity_states,
-                      l_operator, ladder_action, m1_minus_operator,
+from .lattice import (DivisorSingular, LatticeVector, check_identity,
+                      commutator, h_operator, identity_states, l_operator,
+                      ladder_action, lpm_operator, m1_minus_operator,
                       window_independence, xi1_closed_form, xi_action,
                       xi_sweep)
 from .model import (QuantumState, SystemParams, enumerate_states,
@@ -292,18 +292,17 @@ def run_m1(params, nmax, points_n, seed, tol, convention):
     mconv = "printed" if convention == "printed" else "xi"
     M = m1_minus_operator(params, mconv)
     rels = [("[L1,M1-] = L1-",
-             lambda st: commutator(l_operator(params, 1), M)(st)
-             - Lpm_action(1, "-", params, st)),
-            ("[H,M1-] = 0", lambda st: commutator(h_operator(params), M)(st)),
-            ("[L2,M1-] = 0", lambda st: commutator(l_operator(params, 2), M)(st)),
-            ("[L3,M1-] = 0", lambda st: commutator(l_operator(params, 3), M)(st))]
+             commutator(l_operator(params, 1), M) - lpm_operator(params, 1, "-")),
+            ("[H,M1-] = 0", commutator(h_operator(params), M)),
+            ("[L2,M1-] = 0", commutator(l_operator(params, 2), M)),
+            ("[L3,M1-] = 0", commutator(l_operator(params, 3), M))]
     states = identity_states(params, 20)
     cases = []
-    for label, fn in rels:
+    for label, rel in rels:
         residuals = []
         for st in states:
             try:
-                residuals.append(fn(st))
+                residuals.append(rel(st))
             except DivisorSingular:
                 continue
         cases.append(_exact_case(f"{label} ({len(residuals)} states)", residuals))

@@ -178,6 +178,25 @@ def test_config_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_config_unknown_format_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command):
+    """A format from the config file is checked before the first suite runs
+    or the first row is printed."""
+    def no_work(*args):
+        raise AssertionError("work started before the format was checked")
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "spectrum_table", no_work)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = 2,1,1\nformat = xml\n")
+    rep = tmp_path / "r.xml"
+    code, out, err = run_main([command, "--config", str(cfg), "--report", str(rep)],
+                              capsys)
+    assert code == 2
+    assert "unknown report format 'xml'" in err
+    assert out == "" and not rep.exists()
+
+
 # -- spectrum --------------------------------------------------------------------------
 
 def test_spectrum_ground_row(tmp_path, capsys):

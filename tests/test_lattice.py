@@ -14,9 +14,7 @@ from ttw4d.lattice import (
     IDENTITY_KINDS,
     LatticeOperator,
     LatticeVector,
-    Lpm_action,
     M1_minus_action,
-    P_action,
     check_identity,
     commutator,
     h_operator,
@@ -28,6 +26,7 @@ from ttw4d.lattice import (
     ladder_action,
     lpm_operator,
     m1_minus_operator,
+    p_operator,
     s1_value,
     symmetrized_triple,
     window_independence,
@@ -144,9 +143,11 @@ def test_operator_memo_is_per_instance():
     calls = Counter()
 
     def counted(name, i, sign):
+        inner = lpm_operator(p, i, sign)
+
         def rule(s):
             calls[name, s] += 1
-            return Lpm_action(i, sign, p, s)
+            return inner(s)
         return LatticeOperator(rule)
 
     A, B = counted("A", 1, "+"), counted("B", 2, "-")
@@ -409,12 +410,19 @@ def test_xi_rejects_bad_sign():
         xi_action(1, +1, p, QuantumState(0, 0, 0, 0))
 
 
+def test_symmetry_operators_reject_bad_index():
+    p = params_for((1, 1, 1))
+    for build in (lambda: lpm_operator(p, 4, "-"), lambda: p_operator(p, 0, "-")):
+        with pytest.raises(ValueError, match="i must be"):
+            build()
+
+
 # -- L(+-), P(+-), S1 ----------------------------------------------------------------
 
 def test_lplus_is_xi_sum():
     p = params_for((2, 1, 1), MIXED)
     st = QuantumState(3, 1, 2, 1)
-    lhs = Lpm_action(1, "+", p, st)
+    lhs = lpm_operator(p, 1, "+")(st)
     rhs = xi_action(1, "+", p, st) + xi_action(1, "-", p, st)
     assert lhs == rhs
 
@@ -423,7 +431,7 @@ def test_lminus_scaling():
     p = params_for((2, 1, 1))
     st = QuantumState(3, 1, 2, 1)
     A0 = spectral_chain(p, st).A0
-    lhs = Lpm_action(1, "-", p, st)
+    lhs = lpm_operator(p, 1, "-")(st)
     rhs = (xi_action(1, "+", p, st) - xi_action(1, "-", p, st)).scale(p.k1 / A0)
     assert lhs == rhs
 
@@ -433,7 +441,7 @@ def test_lminus_single_branch_on_low_states():
     p = params_for((2, 1, 1))
     low = QuantumState(2, 0, 1, 1)  # n1 = 0 < q1 kills the Jacobi arm of Xi1-
     assert xi_action(1, "-", p, low).is_zero()
-    got = Lpm_action(1, "-", p, low)
+    got = lpm_operator(p, 1, "-")(low)
     d = spectral_chain(p, low)
     want = xi_action(1, "+", p, low).scale(p.k1 / d.A0)
     assert got == want and not got.is_zero()
@@ -449,8 +457,8 @@ def test_p_minus_printed_is_scaled_p_plus():
             for i in (1, 2, 3):
                 Ai = (spectral_chain(p, st).A0, spectral_chain(p, st).A1,
                       spectral_chain(p, st).A2)[i - 1]
-                plus = P_action(i, "+", p, st)
-                printed = P_action(i, "-", p, st, convention="printed")
+                plus = p_operator(p, i, "+")(st)
+                printed = p_operator(p, i, "-", convention="printed")(st)
                 assert printed == plus.scale(p.k(i) / Ai)
 
 
@@ -459,9 +467,9 @@ def test_p_action_is_diagonal():
     st = QuantumState(2, 2, 2, 2)
     for i in (1, 2, 3):
         for conv in ("printed", "antisymmetric"):
-            v = P_action(i, "-", p, st, convention=conv)
+            v = p_operator(p, i, "-", convention=conv)(st)
             assert set(v.states()) <= {st}
-        vp = P_action(i, "+", p, st)
+        vp = p_operator(p, i, "+")(st)
         assert set(vp.states()) <= {st}
 
 
@@ -479,6 +487,19 @@ def test_identity_kinds_guard():
     with pytest.raises(ValueError):
         check_identity(1, "nonsense", p, QuantumState(3, 3, 3, 3))
     assert "cross-commute" in IDENTITY_KINDS
+
+
+@pytest.mark.parametrize("which", IDENTITY_KINDS)
+def test_identity_rejects_unknown_convention_and_variant(which):
+    """Every identity under either variant rejects a convention or a variant
+    it does not know, also where that argument would not be read."""
+    p = params_for((1, 1, 1))
+    st = identity_states(p, 1)[0]
+    for variant in ("printed", "corrected"):
+        with pytest.raises(ValueError, match="convention"):
+            check_identity(1, which, p, st, convention="nonsense", variant=variant)
+    with pytest.raises(ValueError, match="variant"):
+        check_identity(1, which, p, st, variant="nonsense")
 
 
 def test_corrected_identities_hold_on_grid():
@@ -638,7 +659,7 @@ def test_identities_hold_off_the_grid(r, a, offsets):
             for which in IDENTITY_KINDS:
                 res = check_identity(i, which, p, st, variant="corrected")
                 assert res.is_zero(), (k, a, st, i, which, res)
-        rel1 = commutator(l_operator(p, 1), M1)(st) - Lpm_action(1, "-", p, st)
+        rel1 = commutator(l_operator(p, 1), M1)(st) - lpm_operator(p, 1, "-")(st)
         assert rel1.is_zero(), (k, a, st, rel1)
         for L in (h_operator(p), l_operator(p, 2), l_operator(p, 3)):
             assert commutator(L, M1)(st).is_zero(), (k, a, st)
