@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -52,6 +53,8 @@ class SuiteConfig:
             raise ValueError("nmax must be between 0 and 8")
         if self.points is not None and self.points < 1:
             raise ValueError("points must be positive")
+        if self.tol is not None and not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be finite and nonnegative")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
 

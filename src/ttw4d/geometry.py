@@ -142,11 +142,6 @@ def curvature_at(params: SystemParams, point) -> CurvatureReport:
     return CurvatureReport(riem, ricci, scal, weyl, winv, gdiag, ginv)
 
 
-def weyl_invariant(report: CurvatureReport) -> float:
-    """sqrt(3 W_{abcd} W^{abcd}) recomputed from a report's Weyl tensor."""
-    return math.sqrt(3.0 * _weyl_square(report.weyl, report.ginv))
-
-
 # -- closed forms for comparison ------------------------------------------------
 
 def scalar_curvature_closed(params: SystemParams, point) -> float:

@@ -10,13 +10,13 @@ nonzero OmegaPolys, and each coefficient tuple holds Fractions with no
 trailing zero.  Only the public constructors coerce and validate; the
 algebra builds its results from operands already in normal form through
 the trusted `_of` constructors, and only + and - have to drop cancelled
-terms.  Only leaves memoize: a LatticeOperator built from a rule keeps
-each state's image for its lifetime, so a leaf shared inside one expression
-(both sides of a commutator, one M_1^- in the four m1 relations) computes
-each image once; +, -, scale and @ build operators with no memo.  The Xi
-leaves belong to the parameter set (`xi_operator`); `xi_action` keeps nothing.
+terms.  An operator computes an image each time it is asked for one unless
+it is `memoized()`, and only the leaves that expressions ask for the same
+state twice are: the parameter set's Xi leaves (`xi_operator`), L^{+-} and
+M_1^- (both sides of a commutator, one M_1^- in the four m1 relations).
+Diagonals, P^{(+-)}, every +, -, scale and @, and `xi_action` keep nothing.
 L^{+-}, P^{(+-)} and M_1^- are expressions over the Xi leaves and diagonal
-leaves (the source-state divisors), each wrapped once in a leaf.
+leaves (the source-state divisors).
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
@@ -186,32 +186,29 @@ class LatticeVector:
 
 
 class LatticeOperator:
-    """Exact linear operator given by a rule state -> LatticeVector.
+    """Exact linear operator given by its image map QuantumState -> LatticeVector.
 
-    An operator built from a rule is a leaf: it memoizes the rule per state
-    for its lifetime, so a leaf shared within an expression evaluates each
-    image once.  The operators +, -, scale and @ build come from the trusted
-    `_of` and keep no memo: each is asked for one state per evaluation.
+    An operator computes an image each time it is asked for one.
+    `memoized()` gives the same operator keeping each state's image for its
+    lifetime; only a leaf that an expression asks for the same state twice
+    is worth it (see the module docstring).
     """
 
     __slots__ = ("_image",)
 
-    def __init__(self, rule):
-        memo = {}
-
-        def image(st: QuantumState) -> LatticeVector:
-            vec = memo.get(st)
-            if vec is None:
-                vec = memo[st] = rule(st)
-            return vec
+    def __init__(self, image):
         object.__setattr__(self, "_image", image)
 
-    @classmethod
-    def _of(cls, image) -> "LatticeOperator":
-        """Trusted constructor: image maps a QuantumState to its vector, unmemoized."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_image", image)
-        return out
+    def memoized(self) -> "LatticeOperator":
+        """This operator, computing each state's image once."""
+        memo, image = {}, self._image
+
+        def cached(st: QuantumState) -> LatticeVector:
+            vec = memo.get(st)
+            if vec is None:
+                vec = memo[st] = image(st)
+            return vec
+        return LatticeOperator(cached)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeOperator is immutable")
@@ -226,17 +223,17 @@ class LatticeOperator:
         return LatticeVector._of(acc)
 
     def __add__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator._of(lambda st: self._image(st) + other._image(st))
+        return LatticeOperator(lambda st: self._image(st) + other._image(st))
 
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
-        return LatticeOperator._of(lambda st: self._image(st) - other._image(st))
+        return LatticeOperator(lambda st: self._image(st) - other._image(st))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "LatticeOperator":
         c = _as_opoly(c)
-        return LatticeOperator._of(lambda st: self._image(st).scale(c))
+        return LatticeOperator(lambda st: self._image(st).scale(c))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, OmegaPoly)):
@@ -250,7 +247,7 @@ class LatticeOperator:
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         """Composition self ∘ other (other acts first)."""
-        return LatticeOperator._of(lambda st: self.on_vector(other._image(st)))
+        return LatticeOperator(lambda st: self.on_vector(other._image(st)))
 
 
 def commutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
@@ -273,7 +270,10 @@ def identity_operator() -> LatticeOperator:
 
 def diagonal_operator(fn) -> LatticeOperator:
     """Multiplication operator: state -> fn(state) * state."""
-    return LatticeOperator(lambda st: LatticeVector.basis(st, fn(st)))
+    def image(st: QuantumState) -> LatticeVector:
+        c = _as_opoly(fn(st))
+        return LatticeVector._of({} if c.is_zero() else {st: c})
+    return LatticeOperator(image)
 
 
 def h_operator(params: SystemParams) -> LatticeOperator:
@@ -438,9 +438,11 @@ def xi_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
     (i, sign, state) image is computed once per parameter set."""
     if i not in (1, 2, 3):
         raise ValueError("i must be 1, 2 or 3")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
     memo, key = params._memo, ("xi", i, sign)
     if key not in memo:
-        memo[key] = LatticeOperator(lambda st: xi_action(i, sign, params, st))
+        memo[key] = LatticeOperator(lambda st: xi_action(i, sign, params, st)).memoized()
     return memo[key]
 
 
@@ -502,7 +504,7 @@ def _k_over_A(params: SystemParams, i: int) -> LatticeOperator:
 def lpm_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
     """L_i^+ = Xi_i^+ + Xi_i^-;  L_i^- = k_i (Xi_i^+ - Xi_i^-) / A_{i-1}.
 
-    Below-lattice Xi images contribute nothing.
+    Below-lattice Xi images contribute nothing.  The leaf is memoized.
     """
     xp, xm = xi_operator(params, i, "+"), xi_operator(params, i, "-")
     if sign == "+":
@@ -511,7 +513,7 @@ def lpm_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
         expr = (xp - xm) @ _k_over_A(params, i)
     else:
         raise ValueError("sign must be '+' or '-'")
-    return LatticeOperator(expr._image)
+    return expr.memoized()
 
 
 def p_operator(params: SystemParams, i: int, sign: str,
@@ -535,7 +537,7 @@ def p_operator(params: SystemParams, i: int, sign: str,
         expr = (xp @ xm - xm @ xp) @ _k_over_A(params, i)
     else:
         raise ValueError(f"unknown P convention {convention!r}")
-    return LatticeOperator(expr._image)
+    return expr
 
 
 def s1_value(params: SystemParams, state) -> OmegaPoly:
@@ -557,7 +559,8 @@ def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOp
     convention="printed" replaces Xi_1^+ -> L_1^-, Xi_1^- -> L_1^+ over the
     same divisors (the typeset form); it does not satisfy the relations and
     is kept for regression against the source.  The S_1 term acts first, so
-    at A0 in {0, +-p1} DivisorSingular is raised before any Xi image.
+    at A0 in {0, +-p1} DivisorSingular is raised before any Xi image.  The
+    leaf is memoized.
     """
     p1, q1 = params.pq1
     if convention == "xi":
@@ -571,7 +574,7 @@ def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOp
             + Fraction(-1, 4 * q1)
             * (a @ _divisor(params, "A0 (A0+p1)", lambda ch: ch.A0 * (ch.A0 + p1))
                + b @ _divisor(params, "A0 (A0-p1)", lambda ch: ch.A0 * (ch.A0 - p1))))
-    return LatticeOperator(expr._image)
+    return expr.memoized()
 
 
 def M1_minus_action(params: SystemParams, state,
@@ -680,11 +683,6 @@ def interior_margins(params: SystemParams):
     return (2 * p1, 2 * max(q1, p2), 2 * max(q2, p3), 2 * q3)
 
 
-def is_interior(params: SystemParams, state, margins=None) -> bool:
-    m = interior_margins(params) if margins is None else margins
-    return all(n >= need for n, need in zip(QuantumState(*state), m))
-
-
 def identity_states(params: SystemParams, count: int = 20):
     """Deterministic list of interior states: margins plus graded offsets."""
     m = interior_margins(params)
@@ -710,11 +708,6 @@ def xi_sweep(params: SystemParams, nmax: int = 6):
                 images[(i, sign)] += 1
                 broken.append(exc.witness)
     return images, broken
-
-
-def xi_class_check(params: SystemParams, nmax: int = 6):
-    """Witnesses (state, i, sign, target) of broken Xi images (expected: none)."""
-    return xi_sweep(params, nmax)[1]
 
 
 def window_independence(params: SystemParams, window_nmax: Optional[int] = None):

@@ -35,7 +35,7 @@ from ttw4d.lattice import (
     window_independence,
     xi1_closed_form,
     xi_action,
-    xi_class_check,
+    xi_sweep,
 )
 from ttw4d.model import (
     QuantumState,
@@ -94,7 +94,7 @@ def test_criterion_02_ladder_actions():
 def test_criterion_03_energy_invariance():
     """Xi_i^± preserve E exactly on all states n_j <= 6, every grid set."""
     for p in default_grid():
-        assert xi_class_check(p, nmax=6) == [], (p.k1, p.k2, p.k3)
+        assert xi_sweep(p, 6)[1] == [], (p.k1, p.k2, p.k3)
 
 
 def _rising(x, m):
@@ -369,7 +369,7 @@ def test_criterion_10_degeneracy_evidence():
     window matrices of {1, H, L1, L1+, L2, L2+, L3, L3+} have no joint
     linear relation over Q."""
     for p in k211_sets():
-        assert xi_class_check(p, nmax=6) == []
+        assert xi_sweep(p, 6)[1] == []
         out = window_independence(p)
         assert out["independent"], out
         assert out["rank"] == len(out["ops"])

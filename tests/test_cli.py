@@ -1,11 +1,20 @@
+import importlib.util
+import itertools
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ttw4d import cli, lattice, suites
 from ttw4d.model import SystemParams
+
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "regen_golden.py"
+_spec = importlib.util.spec_from_file_location("regen_golden", _TOOL)
+regen_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen_golden)
 
 
 def run_main(argv, capsys):
@@ -197,6 +206,26 @@ def test_config_unknown_format_exits_2_before_any_work(tmp_path, capsys, monkeyp
     assert out == "" and not rep.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_exits_2_before_any_work(tmp_path, capsys, monkeypatch, source, tol):
+    """A NaN, negative or infinite tolerance, from the flag or the config
+    file, is a usage error: no suite runs and no report is written."""
+    def no_work(*args):
+        raise AssertionError("a suite ran with tol=" + tol)
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol = {tol}\n" if source == "config" else "")
+    argv = ["verify", "--suite", "curvature", "--k", "2,1,1", "--a", "1/2,1/2,1/2,1/2",
+            "--config", str(cfg), "--report", str(tmp_path / "r.json")]
+    if source == "flag":
+        argv += ["--tol", tol]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert "tol must be finite and nonnegative" in err
+    assert out == "" and not (tmp_path / "r.json").exists()
+
+
 # -- spectrum --------------------------------------------------------------------------
 
 def test_spectrum_ground_row(tmp_path, capsys):
@@ -270,6 +299,27 @@ def test_full_battery_default_grid(tmp_path, capsys):
     has211 = [any(c["id"].startswith("example211:") for c in d["cases"])
               for d in docs]
     assert sum(has211) == 2  # k=(2,1,1) under both a-tuples
+    assert_matches_golden(
+        {regen_golden.params_key(d["params"]):
+         [regen_golden.case_row(c["id"], c) for c in d["cases"]
+          if c["id"].split(":")[0] in regen_golden.SUITES] for d in docs}, "auto")
+
+
+def test_printed_lattice_reports_match_golden():
+    """xi, algebra and m1 under --convention printed over the default grid."""
+    assert_matches_golden(regen_golden.collect("printed"), "printed")
+
+
+def assert_matches_golden(got: dict, convention: str):
+    """got maps a parameter-set key to its (id, residual hex, pass) rows; a
+    mismatch names the first differing (parameter set, case id) and both rows."""
+    want = json.loads(regen_golden.GOLDEN.read_text(encoding="utf-8"))[convention]
+    assert list(got) == list(want)
+    for key, rows in want.items():
+        for w, g in itertools.zip_longest(rows, got[key]):
+            if g != w:
+                pytest.fail(f"{convention} report differs from the golden at "
+                            f"({key}, {(w or g)[0]!r}): golden {w}, got {g}")
 
 
 def test_broken_xi_reports_fail(tmp_path, capsys, monkeypatch):
@@ -294,6 +344,6 @@ def test_broken_xi_reports_fail(tmp_path, capsys, monkeypatch):
     for doc in docs:
         failing = [c["id"] for c in doc["cases"] if not c["pass"]]
         assert failing and all("Xi_1^+" in cid for cid in failing), failing
-    witnesses = lattice.xi_class_check(p, nmax=3)
+    witnesses = lattice.xi_sweep(p, 3)[1]
     assert witnesses
     assert all((i, sign) == (1, "+") for _, i, sign, _ in witnesses)

@@ -13,7 +13,6 @@ from ttw4d.geometry import (
     scalar_curvature_closed,
     vhat1,
     vhat2,
-    weyl_invariant,
     weyl_invariant_closed,
 )
 from ttw4d.model import QuantumState, SystemParams, wavefunction
@@ -112,7 +111,6 @@ def test_closed_forms_match_tensor_computation():
             W_closed = weyl_invariant_closed(p, pt)
             assert abs(rep.R - R_closed) <= 1e-9 * max(1.0, abs(R_closed))
             assert abs(rep.W - W_closed) <= 1e-9 * max(1.0, abs(W_closed))
-            assert weyl_invariant(rep) == pytest.approx(rep.W, rel=1e-12)
 
 
 def test_flat_when_all_k_equal_one():

@@ -17,11 +17,11 @@ from ttw4d.lattice import (
     M1_minus_action,
     check_identity,
     commutator,
+    diagonal_operator,
     h_operator,
     identity_operator,
     identity_states,
     interior_margins,
-    is_interior,
     l_operator,
     ladder_action,
     lpm_operator,
@@ -32,7 +32,6 @@ from ttw4d.lattice import (
     window_independence,
     xi1_closed_form,
     xi_action,
-    xi_class_check,
     xi_operator,
     xi_sweep,
 )
@@ -136,8 +135,8 @@ def test_lattice_algebra_keeps_normal_form(u, w, c, p, r, a, b, st):
 
 
 def test_operator_memo_is_per_instance():
-    """An operator runs its rule once per state for its own lifetime, inside
-    every expression that shares it; a fresh instance runs it again."""
+    """A memoized operator runs its rule once per state for its own lifetime,
+    inside every expression that shares it; a fresh instance runs it again."""
     p = params_for((2, 1, 1), MIXED)
     st = identity_states(p, 1)[0]
     calls = Counter()
@@ -148,7 +147,7 @@ def test_operator_memo_is_per_instance():
         def rule(s):
             calls[name, s] += 1
             return inner(s)
-        return LatticeOperator(rule)
+        return LatticeOperator(rule).memoized()
 
     A, B = counted("A", 1, "+"), counted("B", 2, "-")
     symmetrized_triple(A, B, B)(st)
@@ -207,6 +206,52 @@ def test_xi_images_are_owned_by_the_parameter_set(xi_calls):
         check_identity(1, "bracket-pm", q, st)
         check_identity(1, "cubic", q, st)
     assert set(xi_calls) == seen and set(xi_calls.values()) == {2}
+
+
+def test_xi_operator_rejects_a_bad_sign_when_built():
+    p = params_for((2, 1, 1))
+    with pytest.raises(ValueError, match="sign"):
+        xi_operator(p, 1, "x")
+    assert ("xi", 1, "x") not in p._memo
+
+
+def _count_xi_requests(p) -> Counter:
+    """Counts each (i, sign, state) asked of p's Xi leaves from now on."""
+    asked = Counter()
+    for i in (1, 2, 3):
+        for sign in "+-":
+            def image(st, leaf=xi_operator(p, i, sign), key=(i, sign)):
+                asked[key, st] += 1
+                return leaf(st)
+            p._memo["xi", i, sign] = LatticeOperator(image)
+    return asked
+
+
+def test_only_xi_lpm_and_m1_leaves_memoize(xi_calls):
+    """Diagonals and P± recompute on every application; an Xi, an L± and an
+    M1⁻ leaf run their rule once per state, however often an expression
+    asks for it."""
+    p = params_for((2, 1, 1), MIXED)
+    st = identity_states(p, 1)[0]
+    seen = Counter()
+
+    def three(s):
+        seen[s] += 1
+        return 3
+    D = diagonal_operator(three)
+    (D @ D)(st)
+    assert seen == {st: 2}
+    asked = _count_xi_requests(p)
+    P = p_operator(p, 1, "+")
+    P(st)
+    P(st)
+    assert len(asked) == 4 and set(asked.values()) == {2}, asked
+    L1 = l_operator(p, 1)
+    for leaf in (lpm_operator(p, 1, "-"), m1_minus_operator(p)):
+        asked.clear()
+        commutator(L1, leaf)(st)  # asks the leaf for st twice
+        assert asked == {((1, "+"), st): 1, ((1, "-"), st): 1}, asked
+    assert xi_calls and set(xi_calls.values()) == {1}, xi_calls
 
 
 # -- primitive ladders ------------------------------------------------------------
@@ -340,7 +385,7 @@ def test_xi2_xi3_coefficients_are_printed_step_products():
 def test_xi_preserves_energy_exactly():
     for k, a in GRID:
         p = params_for(k, a)
-        assert xi_class_check(p, nmax=4) == []
+        assert xi_sweep(p, 4)[1] == []
 
 
 def _expected_image(ref):
@@ -380,7 +425,7 @@ def test_integer_kernel_matches_fraction_reference(k, a):
             vec = ladder_action(kind, p, st, slot=slot)
             got = {tuple(t): c.coeffs for t, c in vec.items()}
             assert got == _expected_image(ref), (tuple(st), kind, slot)
-    assert xi_class_check(p, nmax=2) == []
+    assert xi_sweep(p, 2)[1] == []
 
 
 def test_xi_closed_form_composed_matches_action_on_interior_states():
@@ -567,8 +612,7 @@ def test_interior_margins_and_state_generator():
     assert m == (4, 2, 4, 2)  # (2 p1, 2 max(q1,p2), 2 max(q2,p3), 2 q3)
     sts = identity_states(p, 20)
     assert len(sts) == 20
-    assert all(is_interior(p, st) for st in sts)
-    assert not is_interior(p, QuantumState(0, 0, 0, 0))
+    assert all(n >= need for st in sts for n, need in zip(st, m))
 
 
 # -- commutator calculus --------------------------------------------------------------
