@@ -24,8 +24,7 @@ from .model import (SystemParams, degeneracy_classes, enumerate_states,
                     parse_rational, spectral_chain)
 from .suites import RUNNERS, SUITE_DEFAULTS
 
-SUITE_ORDER = ("eigen", "ladders", "xi", "algebra", "m1",
-               "curvature", "conformal", "example211")
+SUITE_ORDER = tuple(RUNNERS)
 SUITE_IDS = SUITE_ORDER + ("all",)
 CONVENTIONS = ("printed", "antisymmetric", "auto")
 FORMATS = ("json", "csv")

@@ -224,12 +224,6 @@ def build_h(params: SystemParams) -> DiffOperator:
     return _nested(outer, build_l1(params), coeff_vars(inv_r2))
 
 
-def build_tower(params: SystemParams) -> dict:
-    """The mutually commuting set {H, L1, L2, L3} as differential operators."""
-    return {"H": build_h(params), "L1": build_l1(params),
-            "L2": build_l2(params), "L3": build_l3(params)}
-
-
 # ---------------------------------------------------------------------------
 # printed one-variable ladders
 # ---------------------------------------------------------------------------

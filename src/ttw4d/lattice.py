@@ -12,11 +12,12 @@ algebra builds its results from operands already in normal form through
 the trusted `_of` constructors, and only + and - have to drop cancelled
 terms.  An operator computes an image each time it is asked for one unless
 it is `memoized()`, and only the leaves that expressions ask for the same
-state twice are: the parameter set's Xi leaves (`xi_operator`), L^{+-} and
-M_1^- (both sides of a commutator, one M_1^- in the four m1 relations).
-Diagonals, P^{(+-)}, every +, -, scale and @, and `xi_action` keep nothing.
-L^{+-}, P^{(+-)} and M_1^- are expressions over the Xi leaves and diagonal
-leaves (the source-state divisors).
+state twice are: the parameter set's Xi leaves (`xi_operator`), M_1^- (one
+leaf in the four m1 relations) and the L^{+-} leaves that `check_identity`
+builds (both sides of a commutator).  A bare `lpm_operator`, diagonals,
+P^{(+-)}, every +, -, scale and @, and `xi_action` keep nothing.  L^{+-},
+P^{(+-)} and M_1^- are expressions over the Xi leaves and diagonal leaves
+(the source-state divisors).
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
@@ -228,9 +229,6 @@ class LatticeOperator:
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
         return LatticeOperator(lambda st: self._image(st) - other._image(st))
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "LatticeOperator":
         c = _as_opoly(c)
         return LatticeOperator(lambda st: self._image(st).scale(c))
@@ -238,11 +236,6 @@ class LatticeOperator:
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction, OmegaPoly)):
             return self.scale(c)
-        return NotImplemented
-
-    def __truediv__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(c))
         return NotImplemented
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
@@ -283,6 +276,7 @@ def h_operator(params: SystemParams) -> LatticeOperator:
 
 def l_operator(params: SystemParams, i: int) -> LatticeOperator:
     """L_i realized on the basis: multiplication by ell_i(state)."""
+    params.k(i)  # rejects i outside 1..3
     def ell(st):
         ch = spectral_chain(params, st)
         return (ch.ell1, ch.ell2, ch.ell3)[i - 1]
@@ -393,7 +387,7 @@ def _xi_steps(params: SystemParams, i: int, sign: str):
     Xi_i^+ raises n_i by q_i (J+ on slot i, q_i times) and then lowers the
     previous level by p_i (K0- for i=1, K-a on slot i-1 otherwise); Xi_i^-
     mirrors it with J-/K0+/K+a.  Each step uses the parameters advanced by
-    the steps before it.
+    the steps before it.  A bad i raises ValueError (`SystemParams.pq`).
     """
     p, q = params.pq(i)
     if sign == "+":
@@ -415,8 +409,6 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
     any intermediate step leaves the lattice.  An image off the chain or off
     the energy raises ChainBroken.  Nothing is memoized (see `xi_operator`).
     """
-    if i not in (1, 2, 3):
-        raise ValueError("i must be 1, 2 or 3")
     state = QuantumState(*state)
     src = scaled_chain(params, state)
     st = [*state, *src[:3]]
@@ -436,8 +428,7 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
 def xi_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
     """The parameter set's one Xi_i^sign leaf, kept in params._memo, so each
     (i, sign, state) image is computed once per parameter set."""
-    if i not in (1, 2, 3):
-        raise ValueError("i must be 1, 2 or 3")
+    params.pq(i)  # rejects i outside 1..3
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     memo, key = params._memo, ("xi", i, sign)
@@ -504,16 +495,15 @@ def _k_over_A(params: SystemParams, i: int) -> LatticeOperator:
 def lpm_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
     """L_i^+ = Xi_i^+ + Xi_i^-;  L_i^- = k_i (Xi_i^+ - Xi_i^-) / A_{i-1}.
 
-    Below-lattice Xi images contribute nothing.  The leaf is memoized.
+    Below-lattice Xi images contribute nothing.  The expression keeps no
+    image; a caller that asks it for a state twice memoizes it.
     """
     xp, xm = xi_operator(params, i, "+"), xi_operator(params, i, "-")
     if sign == "+":
-        expr = xp + xm
-    elif sign == "-":
-        expr = (xp - xm) @ _k_over_A(params, i)
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    return expr.memoized()
+        return xp + xm
+    if sign == "-":
+        return (xp - xm) @ _k_over_A(params, i)
+    raise ValueError("sign must be '+' or '-'")
 
 
 def p_operator(params: SystemParams, i: int, sign: str,
@@ -611,6 +601,7 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     residual.
     """
     state = QuantumState(*state)
+    ksq = params.k(i) ** 2  # rejects i outside 1..3
     if which not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity {which!r}")
     if convention not in ("printed", "antisymmetric"):
@@ -618,7 +609,8 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     if which == "cross-commute":
-        Lpm = {(j, s): lpm_operator(params, j, s) for j in (1, 2, 3) for s in "+-"}
+        Lpm = {(j, s): lpm_operator(params, j, s).memoized()
+               for j in (1, 2, 3) for s in "+-"}
         for j in (1, 2, 3):
             if j == i:
                 continue
@@ -635,15 +627,14 @@ def check_identity(i: int, which: str, params: SystemParams, state,
                             return r
         return LatticeVector.zero()
 
-    ksq = params.k(i) ** 2
     q = Fraction(params.pq(i)[1])
     al = ALPHA_PRINTED[i - 1]
     g = (Fraction(1), params.k1, params.k2)[i - 1]
     c = (params.k1 ** 2, params.k2 ** 2 / 4, Fraction(0))[i - 1]
     col = 0 if variant == "printed" else 1
     L = l_operator(params, i)
-    Lp = lpm_operator(params, i, "+")
-    Lm = lpm_operator(params, i, "-")
+    Lp = lpm_operator(params, i, "+").memoized()
+    Lm = lpm_operator(params, i, "-").memoized()
     Pm = p_operator(params, i, "-",
                     convention if variant == "printed" else "antisymmetric")
     # each scalar is a (printed, corrected) pair, indexed by col
@@ -710,7 +701,7 @@ def xi_sweep(params: SystemParams, nmax: int = 6):
     return images, broken
 
 
-def window_independence(params: SystemParams, window_nmax: Optional[int] = None):
+def window_independence(params: SystemParams):
     """Exact linear-independence smoke test on a truncated state window.
 
     Materializes {1, H, L1, L1+, L2, L2+, L3, L3+} as sparse matrices over
@@ -719,13 +710,11 @@ def window_independence(params: SystemParams, window_nmax: Optional[int] = None)
     vector, and Gauss-eliminates over Q.  Full rank (8) means no joint
     linear relation on the window.
 
-    The default window grows with the largest ladder step: a window
-    narrower than p_i or q_i truncates that L_i^+ to the zero matrix and
-    the test becomes vacuous.
+    The window n_i <= max(2, p_i, q_i) grows with the largest ladder step:
+    a window narrower than p_i or q_i truncates that L_i^+ to the zero
+    matrix and the test becomes vacuous.
     """
-    if window_nmax is None:
-        steps = [s for pq in (params.pq1, params.pq2, params.pq3) for s in pq]
-        window_nmax = max(2, *steps)
+    window_nmax = max(2, *params.pq1, *params.pq2, *params.pq3)
     states = list(enumerate_states(window_nmax))
     inside = set(states)
     ops = [("1", identity_operator()),

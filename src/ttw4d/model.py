@@ -110,9 +110,13 @@ class SystemParams:
         object.__setattr__(self, "_memo", {})
 
     def pq(self, i: int):
+        if i not in (1, 2, 3):
+            raise ValueError("i must be 1, 2 or 3")
         return (self.pq1, self.pq2, self.pq3)[i - 1]
 
     def k(self, i: int) -> Fraction:
+        if i not in (1, 2, 3):
+            raise ValueError("i must be 1, 2 or 3")
         return (self.k1, self.k2, self.k3)[i - 1]
 
     # couplings (always recomputed from the a's)
@@ -170,10 +174,11 @@ def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     — through A0 and through its fully expanded linear form — and the two
     are asserted equal (exact, in integers).  Memoized in params._memo.
     """
+    if type(state) is not QuantumState:
+        state = QuantumState(*state)
     ch = params._memo.get(state)
     if ch is not None:
         return ch
-    state = QuantumState(*state)
     n0, n1, n2, n3 = state
     dA0, dA1, dA2, dE = scaled_chain(params, state)
     c, e0, e1, e2, e3 = params._energy
@@ -311,9 +316,6 @@ class Wavefunction:
             slot_factor(gauge_for_slot(params, self.chain, 2), state.n2),
             slot_factor(gauge_for_slot(params, self.chain, 3), state.n3),
         )
-
-    def factor(self, i: int):
-        return self.factors[i]
 
     def _check_cell(self, point):
         if not in_cell(self.params, point):

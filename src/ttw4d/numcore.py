@@ -88,11 +88,9 @@ class OmegaPoly:
         return cls._of(())
 
     @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
     def omega(cls, power: int = 1, scale=1):
+        if power < 0:
+            raise ValueError("the power of w must be >= 0")
         c = _as_fraction(scale)
         return cls._of((_ZERO,) * power + (c,) if c else ())
 
@@ -489,15 +487,6 @@ class Jet:
     def exp(self) -> "Jet":
         e0 = math.exp(self.value)
         series = [e0 / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(series)
-
-    def log(self) -> "Jet":
-        c0 = self.value
-        if c0 <= 0.0:
-            raise ValueError("jet log needs positive constant term")
-        series = [math.log(c0)]
-        for m in range(1, self.order + 1):
-            series.append((-1.0) ** (m + 1) / (m * c0 ** m))
         return self._compose(series)
 
     def sin(self) -> "Jet":

@@ -59,15 +59,15 @@ def _rel(diff: float, *scales) -> float:
 # seeded sampling
 # ---------------------------------------------------------------------------
 
-def sample_points(params: SystemParams, count: int, seed: int,
-                  rlo: float = 0.6, rhi: float = 2.4):
-    """Seeded cell points, kept in the middle 60% of each angular range."""
+def sample_points(params: SystemParams, count: int, seed: int):
+    """Seeded cell points, r in [0.6, 2.4] and in the middle 60% of each
+    angular range."""
     rng = random.Random(seed)
     half = math.pi / 2
     widths = [half / float(params.k(i)) for i in (1, 2, 3)]
     pts = []
     for _ in range(count):
-        r = rng.uniform(rlo, rhi)
+        r = rng.uniform(0.6, 2.4)
         angs = [rng.uniform(0.2, 0.8) * w for w in widths]
         pts.append((r, *angs))
     return pts
@@ -113,9 +113,10 @@ def test_functions(count: int, seed: int):
 def eigen_residuals(params: SystemParams, state: QuantumState, points):
     """Max relative residual of HPsi = E Psi and L_i Psi = l_i Psi.
 
-    The tower is written out slot by slot instead of applying
-    `diffops.build_tower`: over the default grid that generic path changes
-    the bits of 1998 of 2048 residuals (all still pass) and is 4-5x slower.
+    The tower is written out slot by slot instead of applying the
+    `diffops` operators `build_h` and `build_l1..3`: over the default grid
+    that generic path changes the bits of 1998 of 2048 residuals (all still
+    pass) and is 4-5x slower.
     The points are `EvalPoint`s kept across states: a separated factor
     depends only on its own quantum number and gauge, so each context
     builds it once for every state that shares it.
@@ -171,6 +172,20 @@ def run_eigen(params, nmax, points_n, seed, tol, convention):
 # ladders suite: differential forms vs printed lattice actions
 # ---------------------------------------------------------------------------
 
+def _max_rel_residuals(points, checks) -> list:
+    """Per check (op, f, [(c, g), ...]), the max over the points of the
+    relative deviation of (op f)(x) from sum c g(x).  One context per point
+    serves every check, so a jet shared by checks is built once there."""
+    worst = [0.0] * len(checks)
+    for p in points:
+        ctx = EvalPoint(p)
+        for j, (op, f, targets) in enumerate(checks):
+            got = op.apply(f, ctx, 0).value
+            want = sum(c * ctx.jet(g, 0).value for c, g in targets)
+            worst[j] = max(worst[j], _rel(got - want, got, want))
+    return worst
+
+
 def _lift(univariate, axis):
     def ev(p, o):
         p = EvalPoint.of(p)
@@ -179,8 +194,7 @@ def _lift(univariate, axis):
 
 
 def run_ladders(params, nmax, points_n, seed, tol, convention):
-    pts = sample_points(params, points_n, seed)
-    checks = []     # (case id, operator, source, target, lattice coefficient)
+    ids, checks = [], []  # case ids; (operator, source, [(lattice coefficient, target)])
     w = params.omega
     for n in range(1, 5):
         st = QuantumState(n, n, n, n)
@@ -193,7 +207,8 @@ def run_ladders(params, nmax, points_n, seed, tol, convention):
             op = build_radial_ladder(params, st.n0, ch.A0, kind[-1])
             src = _lift(radial_factor(w, st.n0, ch.A0), 0)
             tgt = _lift(radial_factor(w, st.n0 + dn, ch.A0 + dA), 0)
-            checks.append((f"{kind} n0={n}", op, src, tgt, c))
+            ids.append(f"{kind} n0={n}")
+            checks.append((op, src, [(c, tgt)]))
         # angular ladders, every slot
         for slot in (1, 2, 3):
             gauge = gauge_for_slot(params, ch, slot)
@@ -211,17 +226,10 @@ def run_ladders(params, nmax, points_n, seed, tol, convention):
                     tgt_gauge = gauge.shifted(da)
                 src = _lift(slot_factor(gauge, nn), slot)
                 tgt = _lift(slot_factor(tgt_gauge, nn + dn), slot)
-                checks.append((f"{kind} slot{slot} n={nn}", op, src, tgt, c))
-    # max relative deviation of (op source)(x) from coeff * target(x), one
-    # context per point shared by every ladder
-    worst = [0.0] * len(checks)
-    for p in pts:
-        ctx = EvalPoint(p)
-        for j, (_, op, src, tgt, c) in enumerate(checks):
-            got = op.apply(src, ctx, 0).value
-            want = c * ctx.jet(tgt, 0).value
-            worst[j] = max(worst[j], _rel(got - want, got, want))
-    return [_case(cid, res, tol) for (cid, *_), res in zip(checks, worst)], {}
+                ids.append(f"{kind} slot{slot} n={nn}")
+                checks.append((op, src, [(c, tgt)]))
+    worst = _max_rel_residuals(sample_points(params, points_n, seed), checks)
+    return [_case(cid, res, tol) for cid, res in zip(ids, worst)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -370,29 +378,20 @@ def run_conformal(params, nmax, points_n, seed, tol, convention):
 # ---------------------------------------------------------------------------
 
 def run_example211(params, nmax, points_n, seed, tol, convention):
-    if (params.k1, params.k2, params.k3) != (2, 1, 1):
-        raise ValueError("suite example211 requires k = (2,1,1)")
     variant = "printed" if convention == "printed" else "corrected"
-    pts = sample_points(params, points_n, seed)
+    printed_op = build_example_L1plus(params)  # k other than (2,1,1) raises here
     states = identity_states(params, 10)
+    L1p = lpm_operator(params, 1, "+")
     w = params.omega
-    printed_op = build_example_L1plus(params)
     checks = []     # (operator, source wavefunction, [(coefficient, target)])
     for st in states:
-        vec = xi_action(1, "+", params, st) + xi_action(1, "-", params, st)
         op = printed_op if variant == "printed" else example211_scalar(params, st, "corrected")
         checks.append((op, wavefunction(params, st),
                        [(float(opoly_eval(poly, w)), wavefunction(params, tgt))
-                        for tgt, poly in vec.items()]))
-    # one context per point serves every state and target: the coordinate,
-    # r^-m, cos/sin 4 theta1 and separated-factor jets are built once there
-    worst = [0.0] * len(checks)
-    for p in pts:
-        ctx = EvalPoint(p)
-        for j, (op, psi, targets) in enumerate(checks):
-            got = op.apply(psi, ctx, 0).value
-            want = sum(c * ctx.jet(tgt, 0).value for c, tgt in targets)
-            worst[j] = max(worst[j], _rel(got - want, got, want))
+                        for tgt, poly in L1p(st).items()]))
+    # the coordinate, r^-m, cos/sin 4 theta1 and separated-factor jets are
+    # built once per point for every state and target
+    worst = _max_rel_residuals(sample_points(params, points_n, seed), checks)
     cases = [_case(f"L1+ [{variant}] vs lattice at {tuple(st)}", res, tol)
              for st, res in zip(states, worst)]
     cases.append({"id": f"max derivative order = {printed_op.max_order}",

@@ -15,7 +15,6 @@ from ttw4d.diffops import (
     build_l2,
     build_l3,
     build_radial_ladder,
-    build_tower,
     coeff_const,
     coeff_vars,
     example211_scalar,
@@ -191,11 +190,11 @@ def test_l3_eigen():
                QuantumState(1, 1, 1, 3)):
         d = spectral_chain(p, st)
         psi = wavefunction(p, st)
-        f3 = lift1(psi.factor(3), 3)
+        f3 = lift1(psi.factors[3], 3)
         for t3 in (0.4, 0.9):
             pt = (1.1, 0.4, 0.6, t3)
             got = op.apply(f3, pt, 0).value
-            want = float(d.ell3) * psi.factor(3)(t3, 0).value
+            want = float(d.ell3) * psi.factors[3](t3, 0).value
             assert rel(got - want, got, want) <= 1e-8
 
 
@@ -204,18 +203,18 @@ def test_tower_eigen_equations():
     rng = random.Random(97)
     for k, a in (((1, 1, 1), HALVES), ((2, 1, 1), MIXED)):
         p = params_for(k, a)
-        ops = build_tower(p)
+        ops = {"H": build_h(p), "L1": build_l1(p), "L2": build_l2(p), "L3": build_l3(p)}
         for _ in range(4):
             st = QuantumState(*(rng.randint(0, 2) for _ in range(4)))
             d = spectral_chain(p, st)
             psi = wavefunction(p, st)
 
             def f23(pt, o):
-                return (psi.factor(2)(pt[2], o).lift(pt, 2)
-                        * psi.factor(3)(pt[3], o).lift(pt, 3))
+                return (psi.factors[2](pt[2], o).lift(pt, 2)
+                        * psi.factors[3](pt[3], o).lift(pt, 3))
 
             def f123(pt, o):
-                return f23(pt, o) * psi.factor(1)(pt[1], o).lift(pt, 1)
+                return f23(pt, o) * psi.factors[1](pt[1], o).lift(pt, 1)
 
             for _ in range(3):
                 pt = (rng.uniform(0.7, 1.8),

@@ -57,13 +57,13 @@ def params_for(k, a=HALVES):
 def test_vector_basics():
     st = QuantumState(1, 2, 3, 4)
     v = LatticeVector.basis(st, 3)
-    assert v.coeff(st) == OmegaPoly.const(3)
+    assert v.coeff(st) == OmegaPoly.omega(0, 3)
     assert v.coeff(QuantumState(0, 0, 0, 0)).is_zero()
     z = v - v
     assert z.is_zero() and len(z) == 0  # exact cancellation drops the entry
     w = v + v.scale(-1)
     assert w == LatticeVector.zero()
-    assert (v + v).coeff(st) == OmegaPoly.const(6)
+    assert (v + v).coeff(st) == OmegaPoly.omega(0, 6)
 
 
 # A polynomial is drawn as {power: coefficient}, a vector as {state: polynomial}
@@ -227,9 +227,10 @@ def _count_xi_requests(p) -> Counter:
     return asked
 
 
-def test_only_xi_lpm_and_m1_leaves_memoize(xi_calls):
-    """Diagonals and P± recompute on every application; an Xi, an L± and an
-    M1⁻ leaf run their rule once per state, however often an expression
+def test_only_xi_m1_and_identity_lpm_leaves_memoize(xi_calls):
+    """Diagonals, P± and a bare L± expression recompute on every application;
+    an Xi leaf, a `.memoized()` L± leaf (as `check_identity` builds them) and
+    an M1⁻ leaf run their rule once per state, however often an expression
     asks for it."""
     p = params_for((2, 1, 1), MIXED)
     st = identity_states(p, 1)[0]
@@ -247,10 +248,16 @@ def test_only_xi_lpm_and_m1_leaves_memoize(xi_calls):
     P(st)
     assert len(asked) == 4 and set(asked.values()) == {2}, asked
     L1 = l_operator(p, 1)
-    for leaf in (lpm_operator(p, 1, "-"), m1_minus_operator(p)):
+    for leaf, times in ((lpm_operator(p, 1, "-"), 2),
+                        (lpm_operator(p, 1, "-").memoized(), 1),
+                        (m1_minus_operator(p), 1)):
         asked.clear()
         commutator(L1, leaf)(st)  # asks the leaf for st twice
-        assert asked == {((1, "+"), st): 1, ((1, "-"), st): 1}, asked
+        assert asked == {((1, "+"), st): times, ((1, "-"), st): times}, asked
+    # [L1, L1-] + c L1- + c' L1+ asks L1- for st three times, L1+ once
+    asked.clear()
+    check_identity(1, "bracket-minus", p, st)
+    assert asked == {((1, "+"), st): 2, ((1, "-"), st): 2}, asked
     assert xi_calls and set(xi_calls.values()) == {1}, xi_calls
 
 
@@ -279,7 +286,7 @@ def test_slot3_jacobi_raising_example():
     v = ladder_action("J+", p, QuantumState(0, 0, 0, 0), slot=3)
     ((tgt, c),) = v.items()
     assert tgt == QuantumState(0, 0, 0, 1)
-    assert c == OmegaPoly.const(-4)  # -2 (n+1)(n+a+b+1) with a=b=1/2, n=0
+    assert c == OmegaPoly.omega(0, -4)  # -2 (n+1)(n+a+b+1) with a=b=1/2, n=0
 
 
 def test_jacobi_lowering_coefficient():
@@ -290,7 +297,7 @@ def test_jacobi_lowering_coefficient():
     ((tgt, c),) = v.items()
     assert tgt == QuantumState(0, 0, 0, 0)
     a, b = d.A2, p.a2  # slot-2 Jacobi parameters at the source state
-    assert c == OmegaPoly.const(-2 * (1 + a) * (1 + b))  # -2 (n+a)(n+b) at n=1
+    assert c == OmegaPoly.omega(0, -2 * (1 + a) * (1 + b))  # -2 (n+a)(n+b) at n=1
 
 
 def test_index_ladder_below_lattice_is_zero():
@@ -309,11 +316,11 @@ def test_index_ladders_shift_only_n():
     ((tgt, c),) = up.items()
     assert tgt == QuantumState(0, 2, 0, 0)
     a, b = d.A1, p.a1
-    assert c == OmegaPoly.const(2 * (1 + 1) * (1 + a))
+    assert c == OmegaPoly.omega(0, 2 * (1 + 1) * (1 + a))
     down = ladder_action("K-a", p, st, slot=1)
     ((tgt2, c2),) = down.items()
     assert tgt2 == QuantumState(0, 0, 0, 0)
-    assert c2 == OmegaPoly.const(2 * (2 + a + b) * (1 + b))  # 2 (n+a+b+1)(n+b) at n=1
+    assert c2 == OmegaPoly.omega(0, 2 * (2 + a + b) * (1 + b))  # 2 (n+a+b+1)(n+b) at n=1
 
 
 # -- Xi composites ------------------------------------------------------------------
@@ -379,7 +386,7 @@ def test_xi2_xi3_coefficients_are_printed_step_products():
                 for sign in ("+", "-"):
                     ((_, c),) = xi_action(i, sign, p, st).items()
                     want = _xi_upper_coefficient(p, i, sign, st)
-                    assert c == OmegaPoly.const(want), (p, tuple(st), i, sign)
+                    assert c == OmegaPoly.omega(0, want), (p, tuple(st), i, sign)
 
 
 def test_xi_preserves_energy_exactly():
@@ -456,10 +463,20 @@ def test_xi_rejects_bad_sign():
 
 
 def test_symmetry_operators_reject_bad_index():
+    """An i outside 1..3 raises before any work; i = 0 does not wrap round
+    to slot 3 through negative indexing."""
     p = params_for((1, 1, 1))
-    for build in (lambda: lpm_operator(p, 4, "-"), lambda: p_operator(p, 0, "-")):
-        with pytest.raises(ValueError, match="i must be"):
+    st = QuantumState(4, 4, 4, 4)
+    for build in (lambda: lpm_operator(p, 4, "-"), lambda: p_operator(p, 0, "-"),
+                  lambda: p.k(0), lambda: p.pq(0), lambda: p.pq(4),
+                  lambda: l_operator(p, 0), lambda: l_operator(p, 4),
+                  lambda: xi_action(0, "+", p, st),
+                  lambda: check_identity(4, "cubic", p, st),
+                  lambda: check_identity(0, "cross-commute", p, st),
+                  lambda: check_identity(4, "cross-commute", p, st)):
+        with pytest.raises(ValueError, match="i must be 1, 2 or 3"):
             build()
+    assert not p._memo
 
 
 # -- L(+-), P(+-), S1 ----------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_memo_is_ignored_by_eq_hash_and_repr():
     assert spectral_chain(q, st) == chain and spectral_chain(q, st) is not chain
 
 
+def test_spectral_chain_accepts_any_4_sequence():
+    """A list or plain tuple state gives the chain of the QuantumState, and
+    all three share one memo entry."""
+    p = params_for((2, 1, 1), MIXED)
+    chain = spectral_chain(p, [1, 2, 0, 3])
+    assert spectral_chain(p, (1, 2, 0, 3)) is chain
+    assert spectral_chain(p, QuantumState(1, 2, 0, 3)) is chain
+    assert chain == spectral_chain(params_for((2, 1, 1), MIXED), QuantumState(1, 2, 0, 3))
+
+
 def test_ratio_decompositions():
     p = params_for((F(3, 2), F(3, 2), 1))
     assert p.pq1 == (3, 2)
@@ -178,7 +188,7 @@ def test_slot3_factor_is_sin_cos():
     """Halves ground slot-3 function is sin(t)cos(t), an eigenfunction of d^2."""
     p = params_for((1, 1, 1), omega=1)
     psi = wavefunction(p, (0, 0, 0, 0))
-    f3 = psi.factor(3)
+    f3 = psi.factors[3]
     for t in (0.3, 0.7, 1.1):
         j = f3(t, 2)
         assert j.value == pytest.approx(math.sin(t) * math.cos(t), rel=1e-14)
@@ -189,7 +199,7 @@ def test_radial_factor_ground_value():
     """A0 = 5, omega = 1: radial part at r=1 is e^(-1/2)."""
     p = params_for((1, 1, 1), omega=1)
     psi = wavefunction(p, (0, 0, 0, 0))
-    assert psi.factor(0)(1.0, 0).value == pytest.approx(math.exp(-0.5), rel=1e-14)
+    assert psi.factors[0](1.0, 0).value == pytest.approx(math.exp(-0.5), rel=1e-14)
 
 
 def test_ground_state_is_pure_weight():
