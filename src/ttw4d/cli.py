@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -88,6 +89,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if params.omega is None:
         params = params.with_omega(Fraction(1))
         config = replace(config, params=params)
+    run = replace(config, params=replace(params))  # a fresh memo, dropped after the run
     t0 = time.perf_counter()
     cases = []
     conventions = {}
@@ -95,13 +97,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         for s in SUITE_ORDER:
             if s == "example211" and (params.k1, params.k2, params.k3) != (2, 1, 1):
                 continue
-            sub_cases, sub_conv = _run_one(s, config)
+            sub_cases, sub_conv = _run_one(s, run)
             for c in sub_cases:
                 cases.append({"id": f"{s}: {c['id']}",
                               "residual": c["residual"], "pass": c["pass"]})
             conventions.update(sub_conv)
     else:
-        cases, conventions = _run_one(config.suite, config)
+        cases, conventions = _run_one(config.suite, run)
     wall = int(round((time.perf_counter() - t0) * 1000))
     max_res = max((c["residual"] for c in cases), default=0.0)
     passed = all(c["pass"] for c in cases)
@@ -281,6 +283,14 @@ def _split(opt, n, what):
     return parts
 
 
+def _report_target(args, cfg):
+    """(path, format) of the report; a missing directory fails before any work."""
+    path = _merge(args.report, cfg, "report")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"no directory for the report {path!r}")
+    return path, _merge(args.format, cfg, "format", default="json")
+
+
 def cmd_verify(args) -> int:
     cfg = read_config_file(args.config) if args.config else {}
     suite = _merge(args.suite, cfg, "suite", default="all")
@@ -292,8 +302,7 @@ def cmd_verify(args) -> int:
     seed = _merge(args.seed, cfg, "seed", conv=int, default=DEFAULT_SEED)
     tol = _merge(args.tol, cfg, "tol", conv=float)
     convention = _merge(args.convention, cfg, "convention", default="auto")
-    report_path = _merge(args.report, cfg, "report")
-    fmt = _merge(args.format, cfg, "format", default="json")
+    report_path, fmt = _report_target(args, cfg)
 
     if suite == "example211":
         if kopt is None:
@@ -335,8 +344,7 @@ def cmd_spectrum(args) -> int:
     nmax = _merge(args.nmax, cfg, "nmax", conv=int, default=2)
     if not 0 <= nmax <= 8:
         raise ValueError("nmax must be between 0 and 8")
-    report_path = _merge(args.report, cfg, "report")
-    fmt = _merge(args.format, cfg, "format", default="json")
+    report_path, fmt = _report_target(args, cfg)
     params = SystemParams(*(parse_rational(x) for x in kopt),
                           *(parse_rational(x) for x in aopt))
     rows = spectrum_table(params, nmax)

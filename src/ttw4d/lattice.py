@@ -10,12 +10,12 @@ nonzero OmegaPolys, and each coefficient tuple holds Fractions with no
 trailing zero.  Only the public constructors coerce and validate; the
 algebra builds its results from operands already in normal form through
 the trusted `_of` constructors, and only + and - have to drop cancelled
-terms.  An operator computes an image each time it is asked for one unless
-it is `memoized()`, and only the leaves that expressions ask for the same
-state twice are: the parameter set's Xi leaves (`xi_operator`), M_1^- (one
-leaf in the four m1 relations) and the L^{+-} leaves that `check_identity`
-builds (both sides of a commutator).  A bare `lpm_operator`, diagonals,
-P^{(+-)}, every +, -, scale and @, and `xi_action` keep nothing.  L^{+-},
+terms.  An operator computes an image each time it is asked for one.  The
+one exception is the leaves: a parameter set owns one Xi_i^{+-}, one
+L_i^{+-} and one M_1^- per convention (`xi_operator`, `lpm_operator`,
+`m1_minus_operator`), kept in params._memo, and each computes a state's
+image once for that parameter set's lifetime.  Diagonals, P^{(+-)}, every
++, -, scale and @, `xi_action` and `xi_sweep` keep nothing.  L^{+-},
 P^{(+-)} and M_1^- are expressions over the Xi leaves and diagonal leaves
 (the source-state divisors).
 
@@ -189,27 +189,14 @@ class LatticeVector:
 class LatticeOperator:
     """Exact linear operator given by its image map QuantumState -> LatticeVector.
 
-    An operator computes an image each time it is asked for one.
-    `memoized()` gives the same operator keeping each state's image for its
-    lifetime; only a leaf that an expression asks for the same state twice
-    is worth it (see the module docstring).
+    An operator computes an image each time it is asked for one; only the
+    parameter set's leaves keep images (see `_leaf`).
     """
 
     __slots__ = ("_image",)
 
     def __init__(self, image):
         object.__setattr__(self, "_image", image)
-
-    def memoized(self) -> "LatticeOperator":
-        """This operator, computing each state's image once."""
-        memo, image = {}, self._image
-
-        def cached(st: QuantumState) -> LatticeVector:
-            vec = memo.get(st)
-            if vec is None:
-                vec = memo[st] = image(st)
-            return vec
-        return LatticeOperator(cached)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeOperator is immutable")
@@ -229,14 +216,11 @@ class LatticeOperator:
     def __sub__(self, other: "LatticeOperator") -> "LatticeOperator":
         return LatticeOperator(lambda st: self._image(st) - other._image(st))
 
-    def scale(self, c) -> "LatticeOperator":
+    def __rmul__(self, c) -> "LatticeOperator":
+        if not isinstance(c, (int, Fraction, OmegaPoly)):
+            return NotImplemented
         c = _as_opoly(c)
         return LatticeOperator(lambda st: self._image(st).scale(c))
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction, OmegaPoly)):
-            return self.scale(c)
-        return NotImplemented
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         """Composition self ∘ other (other acts first)."""
@@ -407,7 +391,7 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
     Composes the primitive ladders with per-step parameter advancement; the
     image is a single basis state with the same exact energy, or zero when
     any intermediate step leaves the lattice.  An image off the chain or off
-    the energy raises ChainBroken.  Nothing is memoized (see `xi_operator`).
+    the energy raises ChainBroken.  Nothing is kept (see `xi_operator`).
     """
     state = QuantumState(*state)
     src = scaled_chain(params, state)
@@ -425,16 +409,28 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
     return LatticeVector._of({target: coeff} if coeff.coeffs else {})
 
 
+def _leaf(params: SystemParams, key: tuple, build) -> LatticeOperator:
+    """The parameter set's one leaf under key, kept in params._memo: the
+    expression build() computes each state's image once per parameter set.
+    The only code that keeps lattice images; callers validate first."""
+    leaf = params._memo.get(key)
+    if leaf is None:
+        expr, images = build(), {}
+
+        def image(st: QuantumState) -> LatticeVector:
+            vec = images.get(st)
+            if vec is None:
+                vec = images[st] = expr._image(st)
+            return vec
+        leaf = params._memo[key] = LatticeOperator(image)
+    return leaf
+
+
 def xi_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
-    """The parameter set's one Xi_i^sign leaf, kept in params._memo, so each
-    (i, sign, state) image is computed once per parameter set."""
-    params.pq(i)  # rejects i outside 1..3
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    memo, key = params._memo, ("xi", i, sign)
-    if key not in memo:
-        memo[key] = LatticeOperator(lambda st: xi_action(i, sign, params, st)).memoized()
-    return memo[key]
+    """The parameter set's one Xi_i^sign leaf (see `_leaf`)."""
+    _xi_steps(params, i, sign)  # rejects a bad i or sign
+    return _leaf(params, ("xi", i, sign),
+                 lambda: LatticeOperator(lambda st: xi_action(i, sign, params, st)))
 
 
 def xi1_closed_form(sign: str, params: SystemParams, state,
@@ -493,17 +489,17 @@ def _k_over_A(params: SystemParams, i: int) -> LatticeOperator:
 
 
 def lpm_operator(params: SystemParams, i: int, sign: str) -> LatticeOperator:
-    """L_i^+ = Xi_i^+ + Xi_i^-;  L_i^- = k_i (Xi_i^+ - Xi_i^-) / A_{i-1}.
+    """The parameter set's one L_i^sign leaf (see `_leaf`):
+    L_i^+ = Xi_i^+ + Xi_i^-;  L_i^- = k_i (Xi_i^+ - Xi_i^-) / A_{i-1}.
 
-    Below-lattice Xi images contribute nothing.  The expression keeps no
-    image; a caller that asks it for a state twice memoizes it.
+    Below-lattice Xi images contribute nothing.
     """
-    xp, xm = xi_operator(params, i, "+"), xi_operator(params, i, "-")
-    if sign == "+":
-        return xp + xm
-    if sign == "-":
-        return (xp - xm) @ _k_over_A(params, i)
-    raise ValueError("sign must be '+' or '-'")
+    _xi_steps(params, i, sign)  # rejects a bad i or sign
+
+    def build():
+        xp, xm = xi_operator(params, i, "+"), xi_operator(params, i, "-")
+        return xp + xm if sign == "+" else (xp - xm) @ _k_over_A(params, i)
+    return _leaf(params, ("lpm", i, sign), build)
 
 
 def p_operator(params: SystemParams, i: int, sign: str,
@@ -549,22 +545,24 @@ def m1_minus_operator(params: SystemParams, convention: str = "xi") -> LatticeOp
     convention="printed" replaces Xi_1^+ -> L_1^-, Xi_1^- -> L_1^+ over the
     same divisors (the typeset form); it does not satisfy the relations and
     is kept for regression against the source.  The S_1 term acts first, so
-    at A0 in {0, +-p1} DivisorSingular is raised before any Xi image.  The
-    leaf is memoized.
+    at A0 in {0, +-p1} DivisorSingular is raised before any Xi image.  Each
+    convention is one leaf of the parameter set (see `_leaf`).
     """
-    p1, q1 = params.pq1
-    if convention == "xi":
-        a, b = xi_operator(params, 1, "+"), xi_operator(params, 1, "-")
-    elif convention == "printed":
-        a, b = lpm_operator(params, 1, "-"), lpm_operator(params, 1, "+")
-    else:
+    if convention not in ("xi", "printed"):
         raise ValueError(f"unknown M1 convention {convention!r}")
-    s1 = diagonal_operator(lambda st: s1_value(params, st))
-    expr = (s1 @ _divisor(params, "A0^2 - p1^2", lambda ch: ch.A0 ** 2 - p1 * p1)
-            + Fraction(-1, 4 * q1)
-            * (a @ _divisor(params, "A0 (A0+p1)", lambda ch: ch.A0 * (ch.A0 + p1))
-               + b @ _divisor(params, "A0 (A0-p1)", lambda ch: ch.A0 * (ch.A0 - p1))))
-    return expr.memoized()
+
+    def build():
+        p1, q1 = params.pq1
+        if convention == "xi":
+            a, b = xi_operator(params, 1, "+"), xi_operator(params, 1, "-")
+        else:
+            a, b = lpm_operator(params, 1, "-"), lpm_operator(params, 1, "+")
+        s1 = diagonal_operator(lambda st: s1_value(params, st))
+        return (s1 @ _divisor(params, "A0^2 - p1^2", lambda ch: ch.A0 ** 2 - p1 * p1)
+                + Fraction(-1, 4 * q1)
+                * (a @ _divisor(params, "A0 (A0+p1)", lambda ch: ch.A0 * (ch.A0 + p1))
+                   + b @ _divisor(params, "A0 (A0-p1)", lambda ch: ch.A0 * (ch.A0 - p1))))
+    return _leaf(params, ("m1", convention), build)
 
 
 def M1_minus_action(params: SystemParams, state,
@@ -609,20 +607,19 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     if which == "cross-commute":
-        Lpm = {(j, s): lpm_operator(params, j, s).memoized()
-               for j in (1, 2, 3) for s in "+-"}
         for j in (1, 2, 3):
             if j == i:
                 continue
             Lj = l_operator(params, j)
             for s in ("+", "-"):
-                r = commutator(Lj, Lpm[i, s])(state)
+                r = commutator(Lj, lpm_operator(params, i, s))(state)
                 if not r.is_zero():
                     return r
             if abs(i - j) > 1:
                 for s in ("+", "-"):
                     for t in ("+", "-"):
-                        r = commutator(Lpm[j, s], Lpm[i, t])(state)
+                        r = commutator(lpm_operator(params, j, s),
+                                       lpm_operator(params, i, t))(state)
                         if not r.is_zero():
                             return r
         return LatticeVector.zero()
@@ -633,8 +630,7 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     c = (params.k1 ** 2, params.k2 ** 2 / 4, Fraction(0))[i - 1]
     col = 0 if variant == "printed" else 1
     L = l_operator(params, i)
-    Lp = lpm_operator(params, i, "+").memoized()
-    Lm = lpm_operator(params, i, "-").memoized()
+    Lp, Lm = lpm_operator(params, i, "+"), lpm_operator(params, i, "-")
     Pm = p_operator(params, i, "-",
                     convention if variant == "printed" else "antisymmetric")
     # each scalar is a (printed, corrected) pair, indexed by col

@@ -62,8 +62,8 @@ class SystemParams:
     denominators and of the a_i's, so the D·A_j are integer affine forms
     (evaluated by `scaled_chain`) and Da = (D·a1, ..., D·a4) are integers.
     The private dict `_memo` (not a field: eq, hash and repr ignore it)
-    holds what `spectral_chain` and `lattice.xi_operator` memoize, for the
-    lifetime of this instance only; an equal instance starts empty.
+    holds what `spectral_chain` and `lattice._leaf` keep (chains; leaves with
+    their images) for this instance's lifetime; an equal one starts empty.
     """
     k1: Fraction
     k2: Fraction
@@ -292,7 +292,7 @@ def slot_factor(gauge: AngularSlotGauge, n: int):
 
 def in_cell(params: SystemParams, point) -> bool:
     r, t1, t2, t3 = point
-    if r <= 0:
+    if not 0 < r < math.inf:  # a NaN fails too
         return False
     for k, t in ((params.k1, t1), (params.k2, t2), (params.k3, t3)):
         if not (0.0 < float(k) * t < math.pi / 2):

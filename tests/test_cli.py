@@ -208,6 +208,40 @@ def test_config_unknown_format_exits_2_before_any_work(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_report_into_a_missing_directory_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, source):
+    """A report path, from the flag or the config file, whose directory does
+    not exist is checked before the first suite runs or row is printed."""
+    def no_work(*args):
+        raise AssertionError("work started before the report directory was checked")
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "spectrum_table", no_work)
+    rep = tmp_path / "no" / "such" / "r.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k = 2,1,1\nreport = {rep}\n" if source == "config" else "k = 2,1,1\n")
+    argv = [command, "--config", str(cfg)]
+    if source == "flag":
+        argv += ["--report", str(rep)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert "no directory for the report" in err and str(rep) in err
+    assert out == "" and not rep.parent.exists()
+
+
+@pytest.mark.parametrize("omega", [None, 1])
+def test_run_suite_leaves_no_memo_behind(omega):
+    """The runners fill an equal, fresh parameter set: after run_suite the
+    caller's parameter set and the report's hold no memo."""
+    params = SystemParams(2, 1, 1, *(Fraction(1, 2),) * 4, omega=omega)
+    config = cli.SuiteConfig("m1", params)
+    rep = cli.run_suite(config)
+    assert rep.passed and rep.params == params.with_omega(Fraction(1))
+    assert rep.config.params is rep.params
+    assert not config.params._memo and not rep.params._memo
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tol_exits_2_before_any_work(tmp_path, capsys, monkeypatch, source, tol):
     """A NaN, negative or infinite tolerance, from the flag or the config

@@ -134,38 +134,79 @@ def test_lattice_algebra_keeps_normal_form(u, w, c, p, r, a, b, st):
     assert _normal_vec(AB.on_vector(U)) == op_apply(a, op_apply(b, u))
 
 
-def test_operator_memo_is_per_instance():
-    """A memoized operator runs its rule once per state for its own lifetime,
-    inside every expression that shares it; a fresh instance runs it again."""
+@pytest.fixture
+def leaf_images(monkeypatch):
+    """Counts each (leaf key, state) image that the leaves of lattice._leaf
+    compute, for the leaves built from now on."""
+    computed = Counter()
+    real = lattice._leaf
+
+    def counting(params, key, build):
+        def counted_build():
+            expr = build()
+
+            def image(st):
+                computed[key, st] += 1
+                return expr(st)
+            return LatticeOperator(image)
+        return real(params, key, counted_build)
+
+    monkeypatch.setattr(lattice, "_leaf", counting)
+    return computed
+
+
+def _lpm_images(computed: Counter) -> Counter:
+    return Counter({k: n for k, n in computed.items() if k[0][0] == "lpm"})
+
+
+def test_operator_memo_is_per_instance(leaf_images):
+    """An L± leaf computes each state's image once per parameter set, inside
+    every expression that shares it and across separately built expressions;
+    an equal, fresh parameter set computes them again."""
     p = params_for((2, 1, 1), MIXED)
     st = identity_states(p, 1)[0]
-    calls = Counter()
-
-    def counted(name, i, sign):
-        inner = lpm_operator(p, i, sign)
-
-        def rule(s):
-            calls[name, s] += 1
-            return inner(s)
-        return LatticeOperator(rule).memoized()
-
-    A, B = counted("A", 1, "+"), counted("B", 2, "-")
+    A, B = lpm_operator(p, 1, "+"), lpm_operator(p, 2, "-")
     symmetrized_triple(A, B, B)(st)
-    assert len(calls) > 2 and set(calls.values()) == {1}, calls
-    calls.clear()
-    A, B = counted("A", 1, "+"), counted("B", 2, "-")
-    commutator(A, B)(st)
-    assert len(calls) > 2 and set(calls.values()) == {1}, calls
-    A(st)
-    assert calls["A", st] == 1
-    counted("A", 1, "+")(st)
-    assert calls["A", st] == 2
+    first = _lpm_images(leaf_images)
+    assert len(first) > 2 and set(first.values()) == {1}, first
     # one leaf shared by two separately built expressions
-    calls.clear()
-    A, B = counted("A", 1, "+"), counted("B", 2, "-")
-    commutator(A, B)(st)
+    commutator(lpm_operator(p, 1, "+"), lpm_operator(p, 2, "-"))(st)
     symmetrized_triple(A, A, B)(st)
-    assert len(calls) > 2 and set(calls.values()) == {1}, calls
+    A(st)
+    again = _lpm_images(leaf_images)
+    assert len(again) >= len(first) and set(again.values()) == {1}, again
+    q = params_for((2, 1, 1), MIXED)
+    assert q == p
+    A, B = lpm_operator(q, 1, "+"), lpm_operator(q, 2, "-")
+    symmetrized_triple(A, B, B)(st)
+    fresh = _lpm_images(leaf_images)
+    assert all(fresh[k] == 2 for k in first) and fresh[("lpm", 1, "+"), st] == 2, fresh
+
+
+def test_leaves_are_owned_by_the_parameter_set():
+    """xi_operator, lpm_operator and m1_minus_operator return the parameter
+    set's one leaf; an equal, fresh parameter set has its own."""
+    p = params_for((2, 1, 1), MIXED)
+    q = params_for((2, 1, 1), MIXED)
+    for build in (lambda s: xi_operator(s, 2, "-"), lambda s: lpm_operator(s, 1, "+"),
+                  lambda s: lpm_operator(s, 3, "-"), lambda s: m1_minus_operator(s),
+                  lambda s: m1_minus_operator(s, "printed")):
+        assert build(p) is build(p)
+        assert build(q) is not build(p)
+    assert m1_minus_operator(p) is not m1_minus_operator(p, "printed")
+
+
+def test_check_identity_computes_each_lpm_image_once(leaf_images):
+    """Every identity at every state shares the parameter set's L± leaves,
+    so each L± image is computed once over all of them."""
+    p = params_for((2, 1, 1), MIXED)
+    for st in identity_states(p, 3):
+        for i in (1, 2, 3):
+            for which in IDENTITY_KINDS:
+                assert check_identity(i, which, p, st, variant="corrected").is_zero()
+    lpm = _lpm_images(leaf_images)
+    assert {k[0] for k in lpm} == {("lpm", i, s) for i in (1, 2, 3) for s in "+-"}
+    assert set(lpm.values()) == {1}, lpm
 
 
 @pytest.fixture
@@ -209,14 +250,23 @@ def test_xi_images_are_owned_by_the_parameter_set(xi_calls):
 
 
 def test_xi_operator_rejects_a_bad_sign_when_built():
+    """A rejected sign or convention raises when the leaf is built and
+    stores no memo entry."""
     p = params_for((2, 1, 1))
-    with pytest.raises(ValueError, match="sign"):
-        xi_operator(p, 1, "x")
-    assert ("xi", 1, "x") not in p._memo
+    for build in (lambda: xi_operator(p, 1, "x"), lambda: lpm_operator(p, 1, "x"),
+                  lambda: lpm_operator(p, 2, +1)):
+        with pytest.raises(ValueError, match="sign"):
+            build()
+    with pytest.raises(ValueError, match="convention"):
+        m1_minus_operator(p, "typeset")
+    assert not p._memo
 
 
 def _count_xi_requests(p) -> Counter:
-    """Counts each (i, sign, state) asked of p's Xi leaves from now on."""
+    """Counts each (i, sign, state) asked of p's Xi leaves from now on.
+
+    L± and M1⁻ leaves capture their Xi leaves when built, so call this
+    before any of them exists."""
     asked = Counter()
     for i in (1, 2, 3):
         for sign in "+-":
@@ -227,13 +277,12 @@ def _count_xi_requests(p) -> Counter:
     return asked
 
 
-def test_only_xi_m1_and_identity_lpm_leaves_memoize(xi_calls):
-    """Diagonals, P± and a bare L± expression recompute on every application;
-    an Xi leaf, a `.memoized()` L± leaf (as `check_identity` builds them) and
-    an M1⁻ leaf run their rule once per state, however often an expression
-    asks for it."""
+def test_only_xi_lpm_and_m1_leaves_memoize(xi_calls):
+    """Diagonals, P± and every +, -, scale and @ recompute on each
+    application; the Xi, L± and M1⁻ leaves run their rule once per state per
+    parameter set, however often expressions ask for it."""
     p = params_for((2, 1, 1), MIXED)
-    st = identity_states(p, 1)[0]
+    st, st2 = identity_states(p, 2)
     seen = Counter()
 
     def three(s):
@@ -247,17 +296,24 @@ def test_only_xi_m1_and_identity_lpm_leaves_memoize(xi_calls):
     P(st)
     P(st)
     assert len(asked) == 4 and set(asked.values()) == {2}, asked
-    L1 = l_operator(p, 1)
-    for leaf, times in ((lpm_operator(p, 1, "-"), 2),
-                        (lpm_operator(p, 1, "-").memoized(), 1),
-                        (m1_minus_operator(p), 1)):
+    xp, xm = xi_operator(p, 1, "+"), xi_operator(p, 1, "-")
+    for expr in (xp + xm, xp - xm, 3 * xp, xp @ D):
         asked.clear()
-        commutator(L1, leaf)(st)  # asks the leaf for st twice
-        assert asked == {((1, "+"), st): times, ((1, "-"), st): times}, asked
-    # [L1, L1-] + c L1- + c' L1+ asks L1- for st three times, L1+ once
+        expr(st)
+        expr(st)
+        assert asked[(1, "+"), st] == 2, asked
+    # [L1, L1-] + c L1- + c' L1+ asks L1- for st three times, L1+ once, and
+    # bracket-plus asks both again: each asks the Xi leaves once at st
     asked.clear()
     check_identity(1, "bracket-minus", p, st)
+    check_identity(1, "bracket-plus", p, st)
     assert asked == {((1, "+"), st): 2, ((1, "-"), st): 2}, asked
+    L1 = l_operator(p, 1)
+    for leaf in (lpm_operator(p, 1, "-"), lpm_operator(p, 1, "+"), m1_minus_operator(p)):
+        asked.clear()
+        commutator(L1, leaf)(st2)  # asks the leaf for st2 twice
+        commutator(L1, leaf)(st2)
+        assert asked == {((1, "+"), st2): 1, ((1, "-"), st2): 1}, asked
     assert xi_calls and set(xi_calls.values()) == {1}, xi_calls
 
 
@@ -470,7 +526,8 @@ def test_symmetry_operators_reject_bad_index():
     for build in (lambda: lpm_operator(p, 4, "-"), lambda: p_operator(p, 0, "-"),
                   lambda: p.k(0), lambda: p.pq(0), lambda: p.pq(4),
                   lambda: l_operator(p, 0), lambda: l_operator(p, 4),
-                  lambda: xi_action(0, "+", p, st),
+                  lambda: xi_action(0, "+", p, st), lambda: xi_operator(p, 4, "+"),
+                  lambda: lpm_operator(p, 0, "+"),
                   lambda: check_identity(4, "cubic", p, st),
                   lambda: check_identity(0, "cross-commute", p, st),
                   lambda: check_identity(4, "cross-commute", p, st)):

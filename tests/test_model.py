@@ -18,6 +18,7 @@ from ttw4d.model import (
     spectral_chain,
     wavefunction,
 )
+from ttw4d.geometry import curvature_at
 from ttw4d.numcore import EvalPoint, OmegaPoly, opoly_eval
 
 HALVES = (F(1, 2), F(1, 2), F(1, 2), F(1, 2))
@@ -281,6 +282,10 @@ def test_in_cell():
     assert not in_cell(p, (1.0, 0.9, 1.0, 1.0))
     assert not in_cell(p, (-1.0, 0.5, 1.0, 1.0))
     assert not in_cell(p, (1.0, 0.5, 0.0, 1.0))
+    assert not in_cell(p, (math.nan, 0.1, 0.1, 0.1))
+    assert not in_cell(p, (math.inf, 0.1, 0.1, 0.1))
+    with pytest.raises(ValueError, match="outside the principal cell"):
+        curvature_at(p, (math.nan, 0.1, 0.1, 0.1))
 
 
 def test_potential_value():
