@@ -11,8 +11,9 @@ no coefficient is ever differentiated (no symbolic algebra anywhere).
 
 Every evaluation happens at a per-point context, `numcore.EvalPoint`: a float
 tuple that memoizes the coordinate jets per order, each coefficient and
-evaluator jet per (callable, order) and each separated eigenfunction factor
-per (factor key, axis, order).  `apply` wraps a plain point in a fresh
+evaluator jet per (callable, order), each separated eigenfunction factor
+per (factor key, axis) and each (sin, cos) pair that trig coefficients read
+per (axis, k, order).  `apply` wraps a plain point in a fresh
 context and passes the context down product chains, so the operators, test
 functions and wavefunctions applied at one context build each of those jets
 once.  A caller that applies many of them at one point makes the context
@@ -33,7 +34,7 @@ from typing import Callable
 from ._expl211 import CORRECTED_TABLE, DERIV_INDEX, PRINTED_TABLE
 from .model import (AngularSlotGauge, QuantumState, SystemParams,
                     spectral_chain)
-from .numcore import EvalPoint, Jet, opoly_eval
+from .numcore import EvalPoint, Jet, block, opoly_eval
 
 
 def coords(point, order: int):
@@ -112,10 +113,7 @@ class DiffOperator:
         if self.terms:
             F = ctx.jet(f, out_order + max(sum(mu) for mu in self.terms))
             for mu, cf in self.terms.items():
-                D = F.derivative_jet(mu)
-                if D.order != out_order:
-                    D = D.truncated(out_order)
-                out = out + ctx.jet(cf, out_order) * D
+                out = out + ctx.jet(cf, out_order) * F.derivative_jet(mu, out_order)
         for outer, inner in self.products:
             out = out + outer.apply(inner.bind(f), ctx, out_order)
         return out
@@ -151,28 +149,30 @@ def identity_diffop() -> DiffOperator:
 # the commuting tower
 # ---------------------------------------------------------------------------
 
+def _trig(k: Fraction, axis: int, fn) -> Callable:
+    """The coefficient fn(sin, cos) of the jets of k * x[axis]; all such
+    coefficients at a context read one (sin, cos) per (axis, k, order)."""
+    kf, num, den = float(k), *Fraction(k).as_integer_ratio()
+    def cf(p, o):
+        p = EvalPoint.of(p)
+        def build():
+            t = p.coords(o)[axis] * kf
+            return t.sin(), t.cos()
+        return fn(*block(p.memo, ("sin-cos", axis, num, den, o), build))
+    return cf
+
+
 def _inv_sin2(k: Fraction, axis: int):
-    kf = float(k)
-    def fn(*x):
-        s = (x[axis] * kf).sin()
-        return 1.0 / (s * s)
-    return coeff_vars(fn)
+    return _trig(k, axis, lambda s, c: 1.0 / (s * s))
 
 
 def _inv_cos2(k: Fraction, axis: int):
-    kf = float(k)
-    def fn(*x):
-        c = (x[axis] * kf).cos()
-        return 1.0 / (c * c)
-    return coeff_vars(fn)
+    return _trig(k, axis, lambda s, c: 1.0 / (c * c))
 
 
 def _cot(k: Fraction, axis: int, scale):
-    kf, sf = float(k), float(scale)
-    def fn(*x):
-        t = x[axis] * kf
-        return sf * t.cos() / t.sin()
-    return coeff_vars(fn)
+    sf = float(scale)
+    return _trig(k, axis, lambda s, c: sf * c / s)
 
 
 def build_l3(params: SystemParams) -> DiffOperator:
@@ -260,53 +260,40 @@ def build_jacobi_ladder(gauge: AngularSlotGauge, n: int, sign: str) -> DiffOpera
     """J^{+-}: shift n alone in one angular slot (printed first-order forms)."""
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
-    k = float(gauge.k)
+    k = gauge.k
     a, b, c, d = gauge.a, gauge.b, gauge.c, gauge.d
     N = gauge.N(n)
     axis = gauge.slot
     if sign == "+":
-        dcoef = float(-(N + 1) / (2 * gauge.k))
+        dcoef = float(-(N + 1) / (2 * k))
         ccos = float(Fraction(-1, 2) * (N + 1) * (N + 1 - c - d))
         cconst = float(Fraction(-1, 2) * (-(N + 1) * (c - d) + a * a - b * b))
     else:
-        dcoef = float((N - 1) / (2 * gauge.k))
+        dcoef = float((N - 1) / (2 * k))
         ccos = float(Fraction(-1, 2) * (N - 1) * (N - 1 + c + d))
         cconst = float(Fraction(-1, 2) * ((N - 1) * (c - d) + a * a - b * b))
-    def dfn(*x):
-        t = x[axis] * k
-        return (t.sin() * t.cos()) * (2.0 * dcoef)  # sin(2kθ) * dcoef
-    def cfn(*x):
-        t = x[axis] * k
-        c2 = t.cos() * t.cos() - t.sin() * t.sin()
-        return c2 * ccos + cconst
-    return DiffOperator({_axis_index(gauge): coeff_vars(dfn),
-                         (0, 0, 0, 0): coeff_vars(cfn)})
+    return DiffOperator({  # sin(2kθ) dcoef d/dθ + cos(2kθ) ccos + cconst
+        _axis_index(gauge): _trig(k, axis, lambda s, c: (s * c) * (2.0 * dcoef)),
+        (0, 0, 0, 0): _trig(k, axis, lambda s, c: (c * c - s * s) * ccos + cconst)})
 
 
 def build_index_ladder(gauge: AngularSlotGauge, n: int, sign: str) -> DiffOperator:
     """K^{+-a}: shift n and the slot parameter a simultaneously (printed forms)."""
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
-    k = float(gauge.k)
+    k = gauge.k
     a, b, c, d = gauge.a, gauge.b, gauge.c, gauge.d
     axis = gauge.slot
     if sign == "+":
-        dcoef = float(-(1 - a) / gauge.k)
+        dcoef = float(-(1 - a) / k)
         const = float(-2 * (n * (n + a + b + 1) + a * (a + b)) - (1 - a) * (a + c + b + d))
         s2 = float(-(1 - a) * (a - c))
     else:
-        dcoef = float(-(1 + a) / gauge.k)
+        dcoef = float(-(1 + a) / k)
         const = float(-2 * n * (n + a + b + 1) - (1 + a) * (a + c + b + d))
         s2 = float((1 + a) * (a + c))
-    def dfn(*x):
-        t = x[axis] * k
-        return (t.cos() / t.sin()) * dcoef
-    def cfn(*x):
-        t = x[axis] * k
-        s = t.sin()
-        return const + s2 / (s * s)
-    return DiffOperator({_axis_index(gauge): coeff_vars(dfn),
-                         (0, 0, 0, 0): coeff_vars(cfn)})
+    return DiffOperator({_axis_index(gauge): _trig(k, axis, lambda s, c: (c / s) * dcoef),
+                         (0, 0, 0, 0): _trig(k, axis, lambda s, c: const + s2 / (s * s))})
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +305,6 @@ def _require_211(params: SystemParams):
         raise ValueError("the explicit 5th-order operator requires k = (2,1,1)")
 
 
-def _cos4(p, o):
-    return (coords(p, o)[1] * 4.0).cos()
-
-
-def _sin4(p, o):
-    return (coords(p, o)[1] * 4.0).sin()
-
-
 def _inv_r_power(m: int):
     def fn(p, o):
         return coords(p, o)[0].power(-m)
@@ -333,7 +312,7 @@ def _inv_r_power(m: int):
 
 
 # one evaluator per factor, so every term and state at a context shares its jet
-_TRIG = {"c": _cos4, "s": _sin4}
+_TRIG = {"c": _trig(4, 1, lambda s, c: c), "s": _trig(4, 1, lambda s, c: s)}
 _INV_R_POWER = {m: _inv_r_power(m) for m in range(1, 5)}
 
 

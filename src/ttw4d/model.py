@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .numcore import EvalPoint, Jet, OmegaPoly
+from .numcore import EvalPoint, Jet, OmegaPoly, block
 from .specfun import JacobiSpec, LaguerreSpec, jacobi_eval, laguerre_eval
 
 
@@ -245,48 +245,69 @@ def gauge_for_slot(params: SystemParams, chain: SpectralData, slot: int) -> Angu
 # separated factors and the full wavefunction
 # ---------------------------------------------------------------------------
 
+def _exact(*xs) -> tuple:
+    """The integer ratios of rationals, flattened: an exact key, cheap to hash."""
+    return tuple(y for x in xs for y in x.as_integer_ratio())
+
+
 def radial_factor(omega: Fraction, n0: int, A0: Fraction):
-    """Evaluator (r, order) -> univariate Jet of the radial factor.
+    """Evaluator (r, order[, blocks]) -> univariate Jet of the radial factor.
 
     Psi0(r) = w^{A0/2} e^{-w r^2/2} r^{A0-1} L_{n0}^{(A0)}(w r^2), with the
     w^{A0/2} prefactor included so the radial ladder coefficients come out
-    clean.  Its `key` (n0 and the integer ratios of A0 and omega) fixes it
-    exactly; `EvalPoint.factor` memoizes it under that key.
+    clean.  It shares two blocks with the radial factors of other n0 at r:
+    (r, u = w r^2, e^{-u/2}) and the prefactor with the Laguerre chain, read
+    from `blocks` (`EvalPoint.factor` passes the point's; a standalone call
+    builds them in a throwaway dict, the same floats).  Its `key` (n0 and
+    the integer ratios of A0 and omega) fixes it exactly.
     """
-    w = float(omega)
-    pref = w ** (float(A0) / 2.0)
+    w, a0 = float(omega), float(A0)
+    pref = w ** (a0 / 2.0)
     spec = LaguerreSpec(n0, A0)
+    weight_key, a0_key = ("weight", *_exact(omega)), ("radial", *_exact(omega, A0))
 
-    def ev(r: float, order: int) -> Jet:
-        t = Jet.variable((r,), 0, order)
-        u = (t * t) * w
-        val = (u * (-0.5)).exp() * t.power(float(A0) - 1.0) * pref
-        return val * laguerre_eval(spec, u)
+    def ev(r: float, order: int, blocks=None) -> Jet:
+        blocks = {} if blocks is None else blocks
+
+        def weight():
+            t = Jet.variable((r,), 0, order)
+            u = (t * t) * w
+            return t, u, (u * (-0.5)).exp()
+        t, u, e = block(blocks, weight_key, weight)
+        val, chain = block(blocks, a0_key, lambda: (e * t.power(a0 - 1.0) * pref, []))
+        return val * laguerre_eval(spec, u, chain)
 
     ev.key = ("radial", n0, *A0.as_integer_ratio(), *omega.as_integer_ratio())
     return ev
 
 
 def slot_factor(gauge: AngularSlotGauge, n: int):
-    """Evaluator (theta, order) -> univariate Jet of a gauged slot function.
+    """Evaluator (theta, order[, blocks]) -> univariate Jet of a gauged slot function.
 
-    Its `key` is n and the integer ratios of a, b, c, d and k; the slot
-    number does not enter the function.
+    It shares three blocks with the slot factors of other n, read from
+    `blocks` as in `radial_factor`: (sin, cos, cos 2) of k theta, the gauge
+    sin^{a+c} cos^{b+d} and the Jacobi chain of (a, b).  Its `key` is n and
+    the integer ratios of a, b, c, d and k; the slot number does not enter
+    the function.
     """
-    k = float(gauge.k)
-    ea = float(gauge.a + gauge.c)
-    eb = float(gauge.b + gauge.d)
-    spec = JacobiSpec(n, gauge.a, gauge.b)
+    k, a, b = gauge.k, gauge.a, gauge.b
+    kf, ea, eb = float(k), a + gauge.c, b + gauge.d
+    spec = JacobiSpec(n, a, b)
+    trig_key, gauge_key = ("trig", *_exact(k)), ("gauge", *_exact(k, ea, eb))
+    chain_key = ("jacobi", *_exact(k, a, b))
 
-    def ev(theta: float, order: int) -> Jet:
-        t = Jet.variable((theta,), 0, order) * k
-        s, c = t.sin(), t.cos()
-        arg = c * c - s * s  # cos(2 k theta)
-        val = s.power(ea) * c.power(eb)
-        return val * jacobi_eval(spec, arg)
+    def ev(theta: float, order: int, blocks=None) -> Jet:
+        blocks = {} if blocks is None else blocks
 
-    ev.key = ("slot", n, *(x for f in (gauge.a, gauge.b, gauge.c, gauge.d, gauge.k)
-                           for x in f.as_integer_ratio()))
+        def trig():
+            t = Jet.variable((theta,), 0, order) * kf
+            s, c = t.sin(), t.cos()
+            return s, c, c * c - s * s  # cos(2 k theta)
+        s, c, arg = block(blocks, trig_key, trig)
+        val = block(blocks, gauge_key, lambda: s.power(float(ea)) * c.power(float(eb)))
+        return val * jacobi_eval(spec, arg, block(blocks, chain_key, list))
+
+    ev.key = ("slot", n, *_exact(a, b, gauge.c, gauge.d, k))
     return ev
 
 

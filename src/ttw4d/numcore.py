@@ -17,7 +17,11 @@ Three layers live here:
 
 :class:`EvalPoint` is the point at which jets are evaluated: a float tuple
 that memoizes, for its own lifetime, the coordinate, coefficient, evaluator
-and separated-factor jets built at it.
+and separated-factor jets built at it, and the blocks those jets share, each
+under an exact key (the axis, the order, and k, a, b, A0 and omega as integer
+ratios): the slot trig and gauge jets and Jacobi chains, the radial weight,
+prefactor and Laguerre chains, the (sin, cos) pairs of the coefficients and
+the eigen tower levels (see its docstring).
 """
 from __future__ import annotations
 
@@ -357,19 +361,22 @@ class Jet:
             fact *= math.factorial(m)
         return fact * self.coeff(mu)
 
-    def derivative_jet(self, mu) -> "Jet":
-        """The jet of d^mu f, of order (order - |mu|)."""
+    def derivative_jet(self, mu, order=None) -> "Jet":
+        """The jet of d^mu f, of order (order - |mu|), or of the given lower
+        order: the shift map is graded, so its prefix builds the truncation."""
         mu = tuple(mu)
-        new_order = self.order - sum(mu)
-        if new_order < 0:
+        top = self.order - sum(mu)
+        order = top if order is None else order
+        if not 0 <= order <= top:
             raise ValueError("jet order too low for requested derivative")
         src = self.coeffs
-        out = [0.0] * len(multi_indices(len(self.base), new_order))
-        for j, i, fact in _shifts(len(self.base), self.order, mu):
+        size = len(multi_indices(len(self.base), order))
+        out = [0.0] * size
+        for j, i, fact in _shifts(len(self.base), self.order, mu)[:size]:
             c = src[i]
             if c:
                 out[j] = c * fact
-        return Jet(self.base, new_order, out)
+        return Jet(self.base, order, out)
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
@@ -535,6 +542,14 @@ def _coordinate_jets(point, order: int) -> tuple:
     return tuple(Jet.variable(point, i, order) for i in range(len(point)))
 
 
+def block(memo: dict, key, build):
+    """memo[key], set to build() on first use."""
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build()
+    return got
+
+
 class EvalPoint(tuple):
     """A sample point (a tuple of floats) that memoizes the jets built at it.
 
@@ -542,14 +557,20 @@ class EvalPoint(tuple):
     test function, a wavefunction, an operator bound to a function.
     ``jet(fn, order)`` calls fn(self, order) once and keeps the result under
     (fn, order); ``coords(order)`` are the coordinate jets.
-    ``factor(ev, axis, order)`` is the univariate jet ev(self[axis], order) of
-    a separated factor, kept under (ev.key, axis) so that equal factors built
-    for different states share it; it keeps the highest order built and
-    serves a lower one by truncation, which is bit for bit the lower-order
-    evaluation (jet arithmetic is graded and accumulates in slot order).  The
-    memo belongs to this object alone: it dies with the point, and two
-    contexts at one point share nothing.  ``of`` wraps a plain point in a
-    fresh context.
+    ``factor(ev, axis, order)`` is the univariate jet ev(self[axis], order,
+    blocks) of a separated factor, kept in the dict under ("factors", axis)
+    by ev.key, so that equal factors built for different states share it; it
+    keeps the highest order built and serves a lower one by truncation, bit
+    for bit the lower-order evaluation (jet arithmetic is graded).  The
+    blocks that factors share are built once, in the dict under ("blocks",
+    axis, order), keyed by the integer ratios of: ("trig", k) sin, cos and
+    cos 2 of k theta; ("gauge", k, a + c, b + d) the slot gauge; ("jacobi",
+    k, a, b) the Jacobi chain; ("weight", omega) r, u = omega r^2 and
+    exp(-u/2); ("radial", omega, A0) the radial prefactor and Laguerre
+    chain.  The memo also keeps ("sin-cos", axis, k, order) for `diffops`
+    coefficients and the eigen levels ("eigen", factor keys...) of `suites`.
+    It is this object's alone: it dies with the point, and two contexts at
+    one point share nothing.  ``of`` wraps a plain point in a fresh context.
     """
 
     def __new__(cls, point):
@@ -573,8 +594,9 @@ class EvalPoint(tuple):
         return self.jet(_coordinate_jets, order)
 
     def factor(self, ev, axis: int, order: int) -> Jet:
-        key = (ev.key, axis)
-        got = self.memo.get(key)
+        factors = block(self.memo, ("factors", axis), dict)
+        got = factors.get(ev.key)
         if got is None or got.order < order:
-            got = self.memo[key] = ev(self[axis], order)
+            blocks = block(self.memo, ("blocks", axis, order), dict)
+            got = factors[ev.key] = ev(self[axis], order, blocks)
         return got if got.order == order else got.truncated(order)

@@ -1,10 +1,14 @@
 """Jacobi and Laguerre polynomial evaluation over rationals and jets.
 
-Both evaluators use the standard three-term recurrence in the degree.  The
-arithmetic is generic: handed a Fraction argument they stay exact end to
-end; handed a Jet they return the jet of the polynomial (derivatives come
-for free).  Degrees here are desk scale (n <= ~12), far below anything that
-would need asymptotic methods.
+Both evaluators use the standard three-term recurrence in the degree, with
+step coefficients built once per spec.  The arithmetic is generic: handed a
+Fraction argument they stay exact end to end; handed a Jet they return the
+jet of the polynomial (derivatives come for free).  The steps do not depend
+on the target degree (DLMF §18.9), so a caller may pass the chain [p_0,
+p_1, ...] of earlier values at the same argument and parameters: the call
+extends it and reads p_n off it, the very value a fresh call computes.
+Degrees here are desk scale (n <= ~12), far below anything that would need
+asymptotic methods.
 """
 from __future__ import annotations
 
@@ -49,34 +53,45 @@ class LaguerreSpec:
     n: int
     alpha: Fraction
 
+    @cached_property
+    def recurrence(self):
+        """(c1, c2, c3) of each degree step m = 2..n, built on first use."""
+        alpha = self.alpha
+        return tuple((2 * m - 1 + alpha, m - 1 + alpha, m) for m in range(2, self.n + 1))
 
-def jacobi_eval(spec: JacobiSpec, x):
-    """Value of the Jacobi polynomial P_n^{(a,b)} at x (Fraction or Jet)."""
+
+def jacobi_eval(spec: JacobiSpec, x, chain=None):
+    """Value of the Jacobi polynomial P_n^{(a,b)} at x (Fraction or Jet);
+    `chain`, if given, is the chain of (a, b) at x, extended in place."""
     n = spec.n
     if n < 0:
         raise ValueError("jacobi degree must be >= 0")
     if n == 0:
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
-    p_prev = 1  # P_0
-    d0, d1 = spec.degree1
-    p_cur = d0 + d1 * x
-    for c1, c2, c3, c4 in spec.recurrence:
-        p_next = (c2 * p_cur + c3 * (x * p_cur) - c4 * p_prev) / c1
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+    chain = [] if chain is None else chain
+    if not chain:
+        d0, d1 = spec.degree1
+        chain += (1, d0 + d1 * x)  # P_0, P_1
+    while len(chain) <= n:
+        c1, c2, c3, c4 = spec.recurrence[len(chain) - 2]
+        p_prev, p_cur = chain[-2:]
+        chain.append((c2 * p_cur + c3 * (x * p_cur) - c4 * p_prev) / c1)
+    return chain[n]
 
 
-def laguerre_eval(spec: LaguerreSpec, x):
-    """Value of the generalized Laguerre polynomial L_n^{(alpha)} at x."""
-    n, alpha = spec.n, spec.alpha
+def laguerre_eval(spec: LaguerreSpec, x, chain=None):
+    """Value of the generalized Laguerre polynomial L_n^{(alpha)} at x;
+    `chain`, if given, is the chain of alpha at x, extended in place."""
+    n = spec.n
     if n < 0:
         raise ValueError("laguerre degree must be >= 0")
     if n == 0:
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
-    p_prev = 1  # L_0
-    p_cur = (1 + alpha) - x
-    for m in range(2, n + 1):
-        p_next = ((2 * m - 1 + alpha) * p_cur - (x * p_cur)
-                  - (m - 1 + alpha) * p_prev) / m
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+    chain = [] if chain is None else chain
+    if not chain:
+        chain += (1, (1 + spec.alpha) - x)  # L_0, L_1
+    while len(chain) <= n:
+        c1, c2, c3 = spec.recurrence[len(chain) - 2]
+        p_prev, p_cur = chain[-2:]
+        chain.append((c1 * p_cur - (x * p_cur) - c2 * p_prev) / c3)
+    return chain[n]

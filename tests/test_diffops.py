@@ -25,6 +25,7 @@ from ttw4d.lattice import ladder_action, xi1_closed_form, xi_action
 from ttw4d.model import (
     QuantumState,
     SystemParams,
+    enumerate_states,
     gauge_for_slot,
     radial_factor,
     slot_factor,
@@ -32,6 +33,7 @@ from ttw4d.model import (
     wavefunction,
 )
 from ttw4d.numcore import EvalPoint, Jet, opoly_eval
+from ttw4d.specfun import JacobiSpec
 
 HALVES = (F(1, 2),) * 4
 MIXED = (F(1, 3), F(2, 5), F(3, 7), F(1, 2))
@@ -559,7 +561,11 @@ def test_shared_context_is_bit_identical_to_fresh_ones():
                     assert hexes(op.apply(f, pt, out_order)) == hexes(fresh)
 
 
-def test_contexts_at_one_point_share_no_memo():
+def test_contexts_at_one_point_share_no_memo(monkeypatch):
+    """Two contexts at one point share no memo.  Over the eigen box at one
+    context, each (axis, k, order) trig block is built once (one sine per
+    slot axis) and each Jacobi step of each (a, b) is taken once; a second
+    context at the same point builds them all again."""
     p = params_for((2, 1, 1), MIXED)
     psi = wavefunction(p, (4, 2, 2, 2))
     calls = []
@@ -578,3 +584,27 @@ def test_contexts_at_one_point_share_no_memo():
     assert calls == [2] and (counted, 2) in a.memo and not b.memo
     H.apply(counted, b, 0)
     assert calls == [2, 2]
+
+    sines, steps = [], []
+    sin = Jet.sin
+    recurrence = JacobiSpec.__dict__["recurrence"].func
+
+    class Steps(tuple):
+        def __getitem__(self, i):
+            steps.append((self.a, self.b, i))
+            return tuple.__getitem__(self, i)
+
+    def counted_steps(spec):
+        out = Steps(recurrence(spec))
+        out.a, out.b = spec.a, spec.b
+        return out
+
+    monkeypatch.setattr(Jet, "sin", lambda jet: sines.append((jet.base, jet.order)) or sin(jet))
+    monkeypatch.setattr(JacobiSpec, "recurrence", property(counted_steps))
+    states = list(enumerate_states(3))
+    first = suites.eigen_residuals(p, states, [EvalPoint(pt)])
+    assert len(sines) == len(set(sines)) == 3
+    assert steps and len(steps) == len(set(steps))
+    once = (sorted(sines), sorted(steps))
+    assert suites.eigen_residuals(p, states, [EvalPoint(pt)]) == first
+    assert (sorted(sines), sorted(steps)) == (sorted(once[0] * 2), sorted(once[1] * 2))

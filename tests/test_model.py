@@ -276,6 +276,53 @@ def test_factor_memo_is_keyed_by_the_factor_not_the_state():
     assert [j.coeffs for j in a.factor_jets(EvalPoint(ctx), 3)] == [j.coeffs for j in ja]
 
 
+def _box_factors(p, nmax):
+    """(axis, evaluator) of every distinct radial and slot factor of the
+    states with n_i <= nmax, with each slot gauge also shifted by -2 and +2."""
+    found = set()
+    for st in enumerate_states(nmax):
+        if st.n0:
+            continue  # the chain and the gauges do not depend on n0
+        ch = spectral_chain(p, st)
+        found.update((n0, 0, ch.A0) for n0 in range(nmax + 1))
+        for slot in (1, 2, 3):
+            gauge = gauge_for_slot(p, ch, slot)
+            found.update((st[slot], slot, g)
+                         for g in (gauge, gauge.shifted(-2), gauge.shifted(2))
+                         if st[slot] < 2 or g.a + g.b > -2)  # else no recurrence
+    return [(axis, radial_factor(p.omega, n, g) if axis == 0 else slot_factor(g, n))
+            for n, axis, g in sorted(found, key=lambda f: f[:2])]
+
+
+def test_shared_factor_blocks_are_bit_identical():
+    """Every radial and slot factor of the nmax-4 box, index-shifted gauges
+    included, gives the same coefficients under float.hex three ways: through
+    one context that builds the factors in ascending n, through one that
+    builds them in descending n, and from a standalone call.  This holds at
+    order 5, then at orders 2 and 0 (the ascending context serves those by
+    truncation, the descending one is fresh and builds its blocks at that
+    order).  One context serves all parameter sets at a point, and it also
+    holds the slot-3 factors of a set that differs from the first only in a4
+    (slot 3's b), so a block key that lost a parameter would mix blocks."""
+    sets = [params_for((2, 1, 1), MIXED, F(3, 2)),
+            params_for((F(3, 2), F(3, 2), 1), MIXED, F(3, 2))]
+    other_b = params_for((2, 1, 1), MIXED[:3] + (F(5, 4),), F(3, 2))
+    factors = [f for p in sets for f in _box_factors(p, 4)]
+    factors += [f for f in _box_factors(other_b, 4) if f[0] == 3]
+    ascending = sorted(factors, key=lambda f: f[1].key[1])  # by n
+    hexes = lambda jet: [c.hex() for c in jet.coeffs]
+    for pt in ((1.3, 0.31, 0.52, 0.77), (0.8, 0.62, 0.4, 1.1)):
+        up = EvalPoint(pt)
+        for order in (5, 2, 0):
+            down = EvalPoint(pt)
+            got_down = {f: hexes(down.factor(f[1], f[0], order))
+                        for f in reversed(ascending)}
+            for axis, ev in ascending:
+                want = hexes(ev(pt[axis], order))
+                assert hexes(up.factor(ev, axis, order)) == want, (ev.key, axis, order)
+                assert got_down[(axis, ev)] == want, (ev.key, axis, order)
+
+
 def test_in_cell():
     p = params_for((2, 1, 1))
     assert in_cell(p, (1.0, 0.5, 1.0, 1.0))

@@ -275,6 +275,24 @@ def test_jet_derivative_jet_consistency():
     assert d.derivative((0, 1)) == pytest.approx(f.derivative((1, 1)))
 
 
+def test_derivative_jet_builds_the_truncation_bit_for_bit():
+    """derivative_jet(mu, o) is derivative_jet(mu).truncated(o) under
+    float.hex, for random jets in 1 and 4 variables at orders 0-5."""
+    rng = random.Random(23)
+    hexes = lambda jet: [c.hex() for c in jet.coeffs]
+    for nvars in (1, 4):
+        for order in range(6):
+            size = len(multi_indices(nvars, order))
+            f = Jet((0.5,) * nvars, order,
+                    [rng.choice((0.0, -0.0, rng.uniform(-5, 5))) for _ in range(size)])
+            for mu in multi_indices(nvars, order):
+                full = f.derivative_jet(mu)
+                for o in range(full.order + 1):
+                    assert hexes(f.derivative_jet(mu, o)) == hexes(full.truncated(o))
+                with pytest.raises(ValueError):
+                    f.derivative_jet(mu, full.order + 1)
+
+
 def test_jet_lift_embeds_on_axis():
     u = Jet.variable((0.5,), 0, 2)
     f = u * u + 1.0

@@ -146,3 +146,26 @@ def test_invalid_degrees_and_parameters():
         laguerre_eval(LaguerreSpec(-2, F(0)), F(1))
     with pytest.raises(ValueError):
         jacobi_eval(JacobiSpec(3, F(-3, 2), F(-1, 2)), F(1, 3))
+
+
+def test_a_shared_chain_gives_every_degree_as_a_fresh_call():
+    """A chain handed to the evaluators and extended in any order of degrees
+    gives what fresh calls give: the same Fraction, or the same jet under
+    float.hex.  The Laguerre steps are (2m - 1 + alpha, m - 1 + alpha, m)."""
+    rng = random.Random(7)
+    hexes = lambda jet: [c.hex() for c in jet.coeffs]
+    for _ in range(10):
+        a = F(rng.randint(0, 8), rng.randint(1, 6))
+        b = F(rng.randint(0, 8), rng.randint(1, 6))
+        x = F(rng.randint(-9, 9), rng.randint(1, 9))
+        jx = Jet.variable((float(x),), 0, 3)
+        chains = [], [], [], []
+        for n in rng.sample(range(9), 9):
+            J, L = JacobiSpec(n, a, b), LaguerreSpec(n, a)
+            assert jacobi_eval(J, x, chains[0]) == jacobi_eval(J, x)
+            assert laguerre_eval(L, x, chains[1]) == laguerre_eval(L, x)
+            assert hexes(jacobi_eval(J, jx, chains[2])) == hexes(jacobi_eval(J, jx))
+            assert hexes(laguerre_eval(L, jx, chains[3])) == hexes(laguerre_eval(L, jx))
+        assert all(len(c) == 9 for c in chains)
+    assert LaguerreSpec(4, F(1, 2)).recurrence == (
+        (F(7, 2), F(3, 2), 2), (F(11, 2), F(5, 2), 3), (F(15, 2), F(7, 2), 4))

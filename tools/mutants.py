@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "ttw4d"
-ACC, CLI, DIF, GEO, LAT, NUM = (f"tests/test_{m}.py::" for m in (
-    "acceptance", "cli", "diffops", "geometry", "lattice", "numcore"))
+ACC, CLI, DIF, GEO, LAT, MOD, NUM = (f"tests/test_{m}.py::" for m in (
+    "acceptance", "cli", "diffops", "geometry", "lattice", "model", "numcore"))
 
 
 class Mutant(NamedTuple):
@@ -100,6 +100,11 @@ CATALOGUE = (
            'ev.key = ("radial", n0, *A0.as_integer_ratio(), *omega.as_integer_ratio())',
            'ev.key = ("radial", n0, *omega.as_integer_ratio())',
            (ACC + "test_criterion_01_eigen_tower",)),
+    # one run has one b per axis, so only a context shared by two parameter
+    # sets with the same (k, a) and different b can see this one
+    Mutant("factor-block-key", "model.py",
+           'chain_key = ("jacobi", *_exact(k, a, b))', 'chain_key = ("jacobi", *_exact(k, a))',
+           (MOD + "test_shared_factor_blocks_are_bit_identical",)),
     Mutant("christoffel-sign", "geometry.py",
            "acc = -dg[mu][rho] if acc is None else acc - dg[mu][rho]",
            "acc = dg[mu][rho] if acc is None else acc + dg[mu][rho]",
