@@ -6,18 +6,21 @@ state -> vector closed under addition, scaling, composition, commutator and
 the symmetrized triple product.  The coefficient ring is Q[w] (OmegaPoly).
 
 Vectors stay in one normal form: keys are QuantumStates, entries are
-nonzero OmegaPolys, and each coefficient tuple holds Fractions with no
-trailing zero.  Only the public constructors coerce and validate; the
-algebra builds its results from operands already in normal form through
-the trusted `_of` constructors, and only + and - have to drop cancelled
-terms.  An operator computes an image each time it is asked for one.  The
-one exception is the leaves: a parameter set owns one Xi_i^{+-}, one
-L_i^{+-} and one M_1^- per convention (`xi_operator`, `lpm_operator`,
-`m1_minus_operator`), kept in params._memo, and each computes a state's
-image once for that parameter set's lifetime.  Diagonals, P^{(+-)}, every
-+, -, scale and @, `xi_action` and `xi_sweep` keep nothing.  L^{+-},
-P^{(+-)} and M_1^- are expressions over the Xi leaves and diagonal leaves
-(the source-state divisors).
+nonzero OmegaPolys, each a reduced tuple of integer numerators over one
+positive denominator with no trailing zero.  Only the public constructors
+coerce and validate; the algebra builds its results from operands already
+in normal form through the trusted `_of` constructors (OmegaPoly._of takes
+the integers of every Xi coefficient, diagonal value and energy directly),
+and only + and - have to drop cancelled terms.  An operator computes an
+image each time it is asked for one.  The one exception is the leaves: a
+parameter set owns one Xi_i^{+-}, one L_i^{+-} and one M_1^- per
+convention (`xi_operator`, `lpm_operator`, `m1_minus_operator`), kept in
+params._memo, and each computes a state's image once for that parameter
+set's lifetime.  Diagonals, P^{(+-)}, every +, -, scale and @, `xi_action`
+and `xi_sweep` keep nothing.  L^{+-}, P^{(+-)} and M_1^- are expressions
+over the Xi leaves and diagonal leaves (the source-state divisors).  The
+same dict also keeps the residual operator of each bracket and cubic
+identity (`check_identity`), which holds no image.
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
@@ -54,6 +57,7 @@ variant="printed"/convention flags, with working corrected forms alongside):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -81,7 +85,7 @@ def _as_opoly(c) -> OmegaPoly:
     if isinstance(c, OmegaPoly):
         return c
     if isinstance(c, (int, Fraction)):
-        return OmegaPoly((c,))
+        return OmegaPoly._of((c.numerator,) if c else (), c.denominator)
     raise TypeError(f"cannot use {type(c).__name__} as a lattice coefficient")
 
 
@@ -90,7 +94,7 @@ def _add_into(acc: dict, items) -> None:
     for st, c in items:
         if st in acc:
             s = acc[st] + c
-            if s.coeffs:
+            if s.num:
                 acc[st] = s
             else:
                 del acc[st]
@@ -236,8 +240,11 @@ def anticommutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
 
 
 def symmetrized_triple(a, b, c) -> LatticeOperator:
-    """Full 6-permutation symmetrizer {A,B,C} (repeats counted)."""
-    first, *rest = [x @ (y @ z) for x, y, z in itertools.permutations((a, b, c))]
+    """Full 6-permutation symmetrizer {A,B,C} (repeats counted): a word that
+    equal operands repeat is built once and scaled by its multiplicity."""
+    words = Counter(itertools.permutations((a, b, c)))
+    first, *rest = [(m * (x @ (y @ z)) if m > 1 else x @ (y @ z))
+                    for (x, y, z), m in words.items()]
     return sum(rest, first)
 
 
@@ -333,7 +340,7 @@ def _walk(params: SystemParams, st: list, steps) -> Optional[OmegaPoly]:
             return None
         f, d, m = hit
         num, dpow, wpow = num * f, dpow + d, wpow + m
-    return OmegaPoly.omega(wpow, Fraction(num, params.D ** dpow))
+    return OmegaPoly._of((0,) * wpow + (num,) if num else (), params.D ** dpow)
 
 
 _LADDER_KINDS = ("K0+", "K0-", "J+", "J-", "K+a", "K-a")
@@ -406,7 +413,7 @@ def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
         raise ChainBroken("left the chain", state, i, sign, target)
     if tgt[3] != src[3]:
         raise ChainBroken("changed E", state, i, sign, target)
-    return LatticeVector._of({target: coeff} if coeff.coeffs else {})
+    return LatticeVector._of({target: coeff} if coeff.num else {})
 
 
 def _leaf(params: SystemParams, key: tuple, build) -> LatticeOperator:
@@ -624,6 +631,10 @@ def check_identity(i: int, which: str, params: SystemParams, state,
                             return r
         return LatticeVector.zero()
 
+    key = ("identity", i, which, convention, variant)
+    R = params._memo.get(key)  # the residual operator, built once per set
+    if R is not None:
+        return R(state)
     q = Fraction(params.pq(i)[1])
     al = ALPHA_PRINTED[i - 1]
     g = (Fraction(1), params.k1, params.k2)[i - 1]
@@ -652,6 +663,7 @@ def check_identity(i: int, which: str, params: SystemParams, state,
              + (6 * ksq * q, 6 * ksq * q * g)[col] * anticommutator(Lp, Lm)
              - (12 * ksq, 12 * ksq * g * g)[col] * p_operator(params, i, "+")
              + (4 * ksq * q, -4 * ksq * q * g)[col] * Pm)
+    params._memo[key] = R
     return R(state)
 
 

@@ -192,7 +192,7 @@ def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     ell2 = k2 ** 2 * Fraction(1, 4) - k2 ** 2 * (2 * n2 + a2 + A2 + 1) ** 2
     ell1 = k1 ** 2 - A0 ** 2
     ch = params._memo[state] = SpectralData(A2, A1, A0, ell3, ell2, ell1,
-                                            OmegaPoly((0, Fraction(dE, D))))
+                                            OmegaPoly._of((0, dE) if dE else (), D))
     return ch
 
 

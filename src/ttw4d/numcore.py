@@ -6,9 +6,10 @@ Three layers live here:
   always stored reduced, positive denominator).  Everything exact in the
   package is built on it.
 * :class:`OmegaPoly` — an exact univariate polynomial in the formal
-  frequency symbol ``w`` over the rationals.  It is the coefficient ring of
-  the lattice operator algebra (ladder coefficients carry powers of the
-  oscillator frequency).
+  frequency symbol ``w`` over the rationals, kept as integer numerators over
+  one denominator; its Fraction coefficients are derived on request.  It is
+  the coefficient ring of the lattice operator algebra (ladder coefficients
+  carry powers of the oscillator frequency).
 * :class:`Jet` — a truncated Taylor expansion of a smooth function at a
   point, stored as a flat float list with index tables cached per
   (nvars, order), closed under ring arithmetic and elementary-function
@@ -54,33 +55,53 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(c).__name__}")
 
 
-_ZERO = Fraction(0)
+_new, _set = object.__new__, object.__setattr__
+
+
+def _parts(x):
+    """(num, den) of an OmegaPoly, int or Fraction in normal form, else None."""
+    if isinstance(x, OmegaPoly):
+        return x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return ((x.numerator,) if x else ()), x.denominator
+    return None
 
 
 class OmegaPoly:
     """Exact polynomial in the formal symbol w, coefficients in Q.
 
-    Immutable; the coefficient tuple holds Fractions and never has a trailing
-    zero (the zero polynomial is the empty tuple).  Supports +, -, *, ** and
-    scaling by Fraction/int on either side.  The public constructor coerces
-    and strips; the ring operations build their results with `_of`, which
-    stores a tuple already in that normal form.  Only + and - can cancel a
-    leading term: Q has no zero divisors, so a product keeps its degree.
+    Immutable; stored as a tuple ``num`` of integer numerators over one
+    positive integer ``den``, in normal form: no trailing zero and
+    gcd(den, *num) == 1, so the zero polynomial is ((), 1).  ``coeffs``
+    derives the reduced Fraction of each power.  Supports +, -, *, ** and
+    scaling by Fraction/int on either side; each result costs integer work
+    and one gcd (Knuth, TAOCP vol. 2, 4.5.1).  The public constructor
+    coerces and strips; the ring operations build their results with
+    `_of`.  Only + and - can cancel a leading term: Q has no zero divisors,
+    so a product keeps its degree.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # over the lcm of reduced denominators the numerators share no factor
+        den = math.lcm(*(c.denominator for c in cs))
+        _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        _set(self, "den", den)
 
     @classmethod
-    def _of(cls, coeffs: tuple) -> "OmegaPoly":
-        """Trusted constructor: coeffs is a tuple of Fractions, no trailing zero."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", coeffs)
+    def _of(cls, num: tuple, den: int) -> "OmegaPoly":
+        """Trusted constructor: num a tuple of ints with no trailing zero and
+        den > 0; divides out gcd(den, *num)."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple([x // g for x in num]), den // g
+        out = _new(cls)
+        _set(out, "num", num)
+        _set(out, "den", den)
         return out
 
     def __setattr__(self, *a):
@@ -89,122 +110,128 @@ class OmegaPoly:
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls._of(())
+        return cls._of((), 1)
 
     @classmethod
     def omega(cls, power: int = 1, scale=1):
         if power < 0:
             raise ValueError("the power of w must be >= 0")
         c = _as_fraction(scale)
-        return cls._of((_ZERO,) * power + (c,) if c else ())
+        return cls._of((0,) * power + (c.numerator,) if c else (), c.denominator)
 
     # -- structure ----------------------------------------------------------
     @property
+    def coeffs(self) -> tuple:
+        """The reduced Fraction coefficient of each power of w, lowest first."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.num):
+            return Fraction(self.num[power], self.den)
         return Fraction(0)
 
     # -- ring ops ------------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, OmegaPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return OmegaPoly((other,))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, den = self.num, self.den
+        b, bden = o
+        if bden != den:
+            g = math.gcd(den, bden)
+            a = [x * (bden // g) for x in a]
+            b = [y * (den // g) for y in b]
+            den = den // g * bden
         if len(a) < len(b):
             a, b = b, a
-        cs = [x + y for x, y in zip(a, b)]
+        num = [x + y for x, y in zip(a, b)]
         if len(a) > len(b):
-            return OmegaPoly._of(tuple(cs) + a[len(b):])
-        while cs and not cs[-1]:
-            cs.pop()
-        return OmegaPoly._of(tuple(cs))
+            num.extend(a[len(b):])
+        else:
+            while num and not num[-1]:
+                num.pop()
+        return OmegaPoly._of(tuple(num), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return OmegaPoly._of(tuple(-c for c in self.coeffs))
+        return OmegaPoly._of(tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if _parts(other) is None:
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if _parts(other) is None:
             return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o[0]
         if not a or not b:
-            return OmegaPoly._of(())
+            return OmegaPoly._of((), 1)
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             y = b[0]
-            return OmegaPoly._of(tuple(x * y if x else x for x in a))
-        out = [_ZERO] * (len(a) + len(b) - 1)
+            return OmegaPoly._of(tuple([x * y for x in a]), self.den * o[1])
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return OmegaPoly._of(tuple(out))
+                    out[i + j] += x * y
+        return OmegaPoly._of(tuple(out), self.den * o[1])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            d = Fraction(other)
-            return OmegaPoly._of(tuple(c / d for c in self.coeffs))
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p, q = other.numerator, other.denominator
+        if not p:
+            raise ZeroDivisionError("OmegaPoly division by zero")
+        if p < 0:
+            p, q = -p, -q
+        return OmegaPoly._of(tuple([x * q for x in self.num]), self.den * p)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = OmegaPoly((1,))
+        out = OmegaPoly._of((1,), 1)
         for _ in range(n):
             out = out * self
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o[0] and self.den == o[1]
 
     def __hash__(self):
         # a constant equals its Fraction (and the zero poly equals 0), so it
         # must hash like one
-        cs = self.coeffs
-        if len(cs) <= 1:
-            return hash(cs[0]) if cs else 0
-        return hash(("OmegaPoly", cs))
+        num = self.num
+        if len(num) <= 1:
+            return hash(Fraction(num[0], self.den)) if num else 0
+        return hash(("OmegaPoly", num, self.den))
 
     def __repr__(self):
         return f"OmegaPoly({self.coeffs!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for p, c in enumerate(self.coeffs):
@@ -296,9 +323,6 @@ def _scalar(x) -> float:
     if isinstance(x, (int, float, Fraction)):
         return float(x)
     raise TypeError(f"cannot use {type(x).__name__} as a jet scalar")
-
-
-_set = object.__setattr__
 
 
 class Jet:

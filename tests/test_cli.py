@@ -304,6 +304,36 @@ def test_spectrum_nmax_zero_single_row(tmp_path, capsys):
     assert rows[0]["state"] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("a", ["1/2,1/2,1/2,1/2", "1/3,2/5,3/7,1/2"])
+def test_spectrum_rows_follow_the_expanded_energy(tmp_path, capsys, a):
+    """spectrum --k 2,1,1 --nmax 3: each row's E, E_coeffs, class tag and
+    degeneracy, and the row order, follow from the expanded energy
+    E/w = -(4 n0 + 4 k1 n1 + 4 k2 n2 + 4 k3 n3 + 2 k1 (a1+1) + 2 k2 (a2+1)
+    + 2 k3 (a3+a4+1) + 2)."""
+    rep = tmp_path / "spec.json"
+    code, _, _ = run_main(["spectrum", "--k", "2,1,1", "--a", a, "--nmax", "3",
+                           "--report", str(rep)], capsys)
+    assert code == 0
+    k1, k2, k3 = Fraction(2), Fraction(1), Fraction(1)
+    a1, a2, a3, a4 = (Fraction(x) for x in a.split(","))
+    const = 2 * k1 * (a1 + 1) + 2 * k2 * (a2 + 1) + 2 * k3 * (a3 + a4 + 1) + 2
+    energy = {st: -(4 * st[0] + 4 * k1 * st[1] + 4 * k2 * st[2] + 4 * k3 * st[3] + const)
+              for st in itertools.product(range(4), repeat=4)}
+    order = sorted(energy, key=lambda st: (-energy[st], st))
+    tags = {}
+    for st in order:
+        tags.setdefault(energy[st], f"g{len(tags) + 1}")
+    count = {e: list(energy.values()).count(e) for e in tags}
+    rows = json.loads(rep.read_text())
+    assert [tuple(r["state"]) for r in rows] == order
+    for r in rows:
+        e = energy[tuple(r["state"])]
+        assert e not in (1, -1)
+        assert r["E"] == f"{e}*w"
+        assert r["E_coeffs"] == ["0", str(e)]
+        assert (r["class"], r["degeneracy"]) == (tags[e], count[e])
+
+
 def test_spectrum_csv(tmp_path, capsys):
     rep = tmp_path / "spec.csv"
     code, _, _ = run_main(["spectrum", "--k", "1,1,1",

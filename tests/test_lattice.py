@@ -91,6 +91,7 @@ def _operator(table: dict) -> LatticeOperator:
 
 def _normal_poly(p: OmegaPoly) -> dict:
     """p as {power: coefficient}, after checking that it is in normal form."""
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1, (p.num, p.den)
     cs = p.coeffs
     assert type(cs) is tuple and all(type(c) is F for c in cs), cs
     assert not cs or cs[-1] != 0, cs  # no trailing zero
@@ -207,6 +208,37 @@ def test_check_identity_computes_each_lpm_image_once(leaf_images):
     lpm = _lpm_images(leaf_images)
     assert {k[0] for k in lpm} == {("lpm", i, s) for i in (1, 2, 3) for s in "+-"}
     assert set(lpm.values()) == {1}, lpm
+
+
+def test_identity_operators_are_per_parameter_set_and_variant():
+    """check_identity keeps one residual operator per (parameter set, i,
+    identity, convention, variant): the printed and the corrected
+    bracket-minus at i = 2 stay apart in either call order, an equal, fresh
+    parameter set builds its own, and the kept operators give the residuals
+    of a fresh build at every state."""
+    kinds = [(which, conv, var) for which in IDENTITY_KINDS[:4]
+             for conv, var in (("printed", "printed"), ("antisymmetric", "printed"),
+                               ("antisymmetric", "corrected"))]
+    first = params_for((2, 1, 1), MIXED)
+    st = identity_states(first, 1)[0]
+    for order in (("printed", "corrected"), ("corrected", "printed")):
+        p = params_for((2, 1, 1), MIXED)
+        for variant in order:
+            r = check_identity(2, "bracket-minus", p, st, variant=variant)
+            assert r.is_zero() == (variant == "corrected"), (order, variant, r)
+    kept = params_for((2, 1, 1), MIXED)
+    for which, conv, var in kinds:
+        check_identity(2, which, first, st, convention=conv, variant=var)
+        check_identity(2, which, kept, st, convention=conv, variant=var)
+        key = ("identity", 2, which, conv, var)
+        assert first._memo[key] is not kept._memo[key], key
+    for st in identity_states(kept, 4):
+        for i in (1, 2, 3):
+            for which, conv, var in kinds:
+                fresh = params_for((2, 1, 1), MIXED)
+                assert (check_identity(i, which, kept, st, convention=conv, variant=var)
+                        == check_identity(i, which, fresh, st, convention=conv,
+                                          variant=var)), (tuple(st), i, which, conv, var)
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from oracles import (
     dict_jet_add_scalar,
     dict_jet_compose,
     dict_jet_mul,
+    poly_add,
+    poly_mul,
 )
 from ttw4d.numcore import (
     Jet,
@@ -119,6 +121,67 @@ def test_opoly_hash_agrees_with_equality():
     assert OmegaPoly(()) == 0 and hash(OmegaPoly(())) == hash(0)
     assert len({OmegaPoly((0, 0)), OmegaPoly.zero(), 0, F(0)}) == 1
     assert {OmegaPoly.omega(1, 2): "w"}[OmegaPoly((0, 2))] == "w"
+    # results of arithmetic compare and hash in their reduced form
+    half = OmegaPoly((F(1, 2), F(3, 2)))
+    assert half * 2 == OmegaPoly((1, 3)) and hash(half * 2) == hash(OmegaPoly((1, 3)))
+    one = OmegaPoly((F(1, 2),)) + F(1, 2)
+    assert one == 1 and hash(one) == hash(1) and len({one, 1, F(1)}) == 1
+    assert {OmegaPoly.omega(1, 4) / 2: "w"}[OmegaPoly((0, 2))] == "w"
+
+
+_SCALARS = st.one_of(st.integers(-12, 12),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=9))
+_POLYS = st.lists(_SCALARS, max_size=4).map(OmegaPoly)
+
+
+def _kernel_form(p) -> dict:
+    """p as {power: Fraction}, after checking the kernel's normal form."""
+    assert isinstance(p, OmegaPoly)
+    assert type(p.den) is int and p.den > 0, p.den
+    assert all(type(x) is int for x in p.num), p.num
+    assert math.gcd(p.den, *p.num) == 1, (p.num, p.den)
+    assert not p.num or p.num[-1] != 0, p.num  # no trailing zero
+    cs = p.coeffs
+    assert type(cs) is tuple and all(type(c) is F for c in cs), cs
+    assert cs == tuple(F(x, p.den) for x in p.num)
+    # hash agrees with ==, also against the int or Fraction a constant equals
+    assert p == OmegaPoly(cs) and hash(p) == hash(OmegaPoly(cs))
+    if p.degree <= 0:
+        c = p.coeff(0)
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+        if c.denominator == 1:
+            assert p == int(c) and hash(p) == hash(int(c))
+    return {d: c for d, c in enumerate(cs) if c}
+
+
+def _as_dict(x) -> dict:
+    if isinstance(x, OmegaPoly):
+        return {d: c for d, c in enumerate(x.coeffs) if c}
+    return {0: F(x)} if x else {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_POLYS, b=st.one_of(_POLYS, _SCALARS), n=st.integers(0, 3), s=_SCALARS)
+def test_opoly_kernel_normal_form(a, b, n, s):
+    """+, -, *, ** and scalar / keep the integer kernel in normal form and
+    equal the Fraction dict reference, with a scalar on either side."""
+    A, B = _as_dict(a), _as_dict(b)
+    _kernel_form(a)
+    assert _kernel_form(a + b) == _kernel_form(b + a) == poly_add(A, B)
+    assert _kernel_form(a - b) == poly_add(A, B, -1)
+    assert _kernel_form(b - a) == poly_add(B, A, -1)
+    assert _kernel_form(a * b) == _kernel_form(b * a) == poly_mul(A, B)
+    assert _kernel_form(-a) == poly_add({}, A, -1)
+    want = {0: F(1)}
+    for _ in range(n):
+        want = poly_mul(want, A)
+    assert _kernel_form(a ** n) == want
+    if s:
+        assert _kernel_form(a / s) == poly_mul(A, {0: 1 / F(s)})
+        assert _kernel_form(a / -s) == poly_mul(A, {0: -1 / F(s)})
+    for zero in (0, F(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
 
 
 # -- multi-indices and jet bookkeeping -------------------------------------------

@@ -70,9 +70,13 @@ CATALOGUE = (
            (ACC + "test_criterion_05_bracket_identities_as_printed",
             CLI + "test_printed_lattice_reports_match_golden")),
     Mutant("add-into-keeps-cancelled", "lattice.py",
-           "if s.coeffs:", "if True:",
+           "if s.num:", "if True:",
            (LAT + "test_vector_basics",
             LAT + "test_lattice_algebra_keeps_normal_form")),
+    Mutant("identity-key-drops-variant", "lattice.py",
+           'key = ("identity", i, which, convention, variant)',
+           'key = ("identity", i, which, convention)',
+           (LAT + "test_identity_operators_are_per_parameter_set_and_variant",)),
     Mutant("divisor-never-raises", "lattice.py",
            "if d == 0:", "if d != d:",
            (LAT + "test_m1_singular_divisor_guard",)),
@@ -86,6 +90,10 @@ CATALOGUE = (
            (LAT + "test_operator_memo_is_per_instance",
             LAT + "test_only_xi_lpm_and_m1_leaves_memoize",
             LAT + "test_xi_images_are_owned_by_the_parameter_set")),
+    Mutant("opoly-skips-reduction", "numcore.py",
+           "if g != 1:", "if False:",
+           (NUM + "test_opoly_kernel_normal_form",
+            NUM + "test_opoly_hash_agrees_with_equality")),
     Mutant("jet-add-keeps-zeros", "numcore.py",
            "if c:\n                    out[i] += c",
            "if True:\n                    out[i] += c",
