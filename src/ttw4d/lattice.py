@@ -20,20 +20,22 @@ set's lifetime.  Diagonals, P^{(+-)}, every +, -, scale and @, `xi_action`
 and `xi_sweep` keep nothing.  L^{+-}, P^{(+-)} and M_1^- are expressions
 over the Xi leaves and diagonal leaves (the source-state divisors).  The
 same dict also keeps the residual operator of each bracket and cubic
-identity (`check_identity`), which holds no image.
+identity (`check_identity`) and each Xi program (`_xi_program`): no image.
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
 generally leaves the separated basis (it shifts a parameter without
 re-deriving the chain).  The state is kept in integers, scaled by the
 common denominator D of the parameter set (model.SystemParams): it is
-(n0..n3, D·A0, D·A1, D·A2), and each step returns an integer factor with
-a power of D and a power of w, so an Xi image costs integer products and
-one Fraction at the end.  The composites Xi_i^{+-} recombine steps so the
-final extended state is chain-consistent again with the source's energy;
-this is checked on every application, against the target's integer chain
-(model.scaled_chain), and a failure raises ChainBroken,
-which `ttw4d verify` reports as a failing case.  Below-lattice images
+x = (n0..n3, D·A0, D·A1, D·A2).  Each ladder kind is one step-table entry
+(a guard, a scalar, affine factors in x, a shift, powers of D and w), and
+`_compile` folds the steps of an Xi into one program per parameter set:
+its coefficient is a product of affine forms in the source's x, so an
+image costs integer products and one gcd.  The composites recombine steps
+so the final state is chain-consistent again with the source's energy;
+every application is checked against the target's integer chain
+(model.scaled_chain), and a failure raises ChainBroken, which
+`ttw4d verify` reports as a failing case.  Below-lattice images
 (any n_i < 0) are dropped as zero — the printed lowering coefficients do
 not always vanish at the boundary, so all identity suites run on interior
 states with an explicit margin.
@@ -59,6 +61,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .model import (QuantumState, SystemParams, enumerate_states, scaled_chain,
@@ -275,97 +278,87 @@ def l_operator(params: SystemParams, i: int) -> LatticeOperator:
 
 
 # ---------------------------------------------------------------------------
-# primitive ladder steps on integer states
+# primitive ladder steps, compiled into programs on integer states
 # ---------------------------------------------------------------------------
 
-def _step(params: SystemParams, st: list, kind: str, slot: Optional[int]):
-    """Apply one primitive ladder step to the integer state st in place.
-
-    st is [n0, n1, n2, n3, D·A0, D·A1, D·A2] with D = params.D; a single
-    step moves one n and possibly one parameter, and only the full Xi
-    composites return to chain-consistent parameter values.  Returns
-    (f, d, m) for the coefficient f w^m / D^d, or None (st untouched) when
-    the image falls below the lattice (dropped as zero).  In slot s the
-    Jacobi parameters are (a, b) = (A1, a1), (A2, a2), (a3, a4); the
-    coefficients follow the printed actions:
-        K0+ : -2w (n0+1)(n0+A0),      n0+1, A0-2
-        K0- : -2w,                    n0-1, A0+2
-        J+  : -2 (n+1)(n+a+b+1),      n+1
-        J-  : -2 (n+a)(n+b),          n-1
-        K+a :  2 (n+1)(n+a),          n+1, a-2
-        K-a :  2 (n+a+b+1)(n+b),      n-1, a+2
-    """
-    D = params.D
-    if kind == "K0+":
-        n, dA = st[0], st[4]
-        st[0], st[4] = n + 1, dA - 2 * D
-        return -2 * (n + 1) * (D * n + dA), 1, 1
-    if kind == "K0-":
-        if st[0] == 0:
-            return None
-        st[0], st[4] = st[0] - 1, st[4] + 2 * D
-        return -2, 0, 1
-    if slot not in (1, 2, 3):
-        raise ValueError("slot must be 1, 2 or 3")
-    n = st[slot]
-    Da = params.Da
-    dn, da, db = D * n, (st[5], st[6], Da[2])[slot - 1], Da[(0, 1, 3)[slot - 1]]
-    if kind == "J+":
-        st[slot] = n + 1
-        return -2 * (n + 1) * (dn + da + db + D), 1, 0
-    if kind == "K+a":
-        st[slot] = n + 1
-        if slot < 3:
-            st[4 + slot] = da - 2 * D
-        return 2 * (n + 1) * (dn + da), 1, 0
-    if kind not in ("J-", "K-a"):
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    if n == 0:
-        return None
-    st[slot] = n - 1
-    if kind == "J-":
-        return -2 * (dn + da) * (dn + db), 2, 0
-    if slot < 3:
-        st[4 + slot] = da + 2 * D
-    return 2 * (dn + da + db + D) * (dn + db), 2, 0
+# One entry per ladder kind: (dn, dA, scalar, factors, dpow, wpow) for the
+# coefficient scalar · prod(factors) · w^wpow / D^dpow and the moves n += dn,
+# D·a += dA·D on the step's level.  A factor sums the atoms n, Dn = D·n, da, db,
+# D and 1, where a is A0 on the radial level and (a, b) the Jacobi pair (A1, a1),
+# (A2, a2), (a3, a4) of slots 1..3.  A lowering step at n = 0 drops the image.
+_STEP_TABLE = {
+    "K0+": (1, -2, -2, ("n+1", "Dn+da"), 1, 1),
+    "K0-": (-1, 2, -2, (), 0, 1),
+    "J+": (1, 0, -2, ("n+1", "Dn+da+db+D"), 1, 0),
+    "J-": (-1, 0, -2, ("Dn+da", "Dn+db"), 2, 0),
+    "K+a": (1, -2, 2, ("n+1", "Dn+da"), 1, 0),
+    "K-a": (-1, 2, 2, ("Dn+da+db+D", "Dn+db"), 2, 0),
+}
 
 
-def _walk(params: SystemParams, st: list, steps) -> Optional[OmegaPoly]:
-    """Apply steps to the integer state st in place; the product of their
-    coefficients, or None when an image falls below the lattice."""
-    num, dpow, wpow = 1, 0, 0
+def _compile(params: SystemParams, steps):
+    """Fold a step sequence (first acts first) into one program on the integer
+    state x = (n0, n1, n2, n3, D·A0, D·A1, D·A2): guards (j, m) for x[j] >= m,
+    scalar, factors (constant, ((j, coefficient), ...)), delta, D^dpow and the
+    w pad.  Each factor's constant and guard count the steps before it."""
+    D, Da = params.D, params.Da
+    delta, guards, factors, scalar, dpow, wpow = [0] * 7, {}, [], 1, 0, 0
     for kind, slot in steps:
-        hit = _step(params, st, kind, slot)
-        if hit is None:
+        dn, dA, c, forms, d, m = _STEP_TABLE[kind]
+        lvl = slot or 0
+        # atom -> (constant, x index, coefficient); only A0, A1 and A2 are in x
+        atoms = {"n": (0, lvl, 1), "Dn": (0, lvl, D), "D": (D, 0, 0), "1": (1, 0, 0),
+                 "da": (0, 4 + lvl, 1) if lvl < 3 else (Da[2], 0, 0),
+                 "db": ((0, Da[0], Da[1], Da[3])[lvl], 0, 0)}
+        for form in forms:
+            parts = [atoms[name] for name in form.split("+")]
+            terms = tuple((j, a) for _, j, a in parts if a)
+            factors.append((sum(p[0] for p in parts) + sum(a * delta[j] for j, a in terms), terms))
+        if dn < 0:
+            guards[lvl] = max(guards.get(lvl, 0), 1 - delta[lvl])
+        delta[lvl] += dn
+        if lvl < 3:
+            delta[4 + lvl] += dA * D
+        scalar, dpow, wpow = scalar * c, dpow + d, wpow + m
+    return tuple(guards.items()), scalar, tuple(factors), tuple(delta), D ** dpow, (0,) * wpow
+
+
+def _xi_image(prog, params: SystemParams, state, src):
+    """Evaluate a compiled program at a basis state, src its scaled_chain:
+    None below the lattice, else (target, numerator, error).  error names the
+    first check the image fails, or is None: the advanced D·A against the
+    target's integer chain, then the target's E against src's."""
+    guards, num, factors, delta, _, _ = prog
+    x = (*state, *src[:3])
+    for j, m in guards:
+        if x[j] < m:
             return None
-        f, d, m = hit
-        num, dpow, wpow = num * f, dpow + d, wpow + m
-    return OmegaPoly._of((0,) * wpow + (num,) if num else (), params.D ** dpow)
-
-
-_LADDER_KINDS = ("K0+", "K0-", "J+", "J-", "K+a", "K-a")
+    for c, terms in factors:
+        for j, a in terms:
+            c += a * x[j]
+        num *= c
+    y = list(map(add, x, delta))  # a list: tuple(map(...)) results pile up in a free list
+    target = QuantumState._make(y[:4])
+    tgt = scaled_chain(params, target)
+    if tgt[:3] != tuple(y[4:]):
+        return target, num, "left the chain"
+    return target, num, None if tgt[3] == src[3] else "changed E"
 
 
 def ladder_action(kind: str, params: SystemParams, state, slot: Optional[int] = None) -> LatticeVector:
-    """Printed action of one primitive ladder on a basis state.
-
-    The target is labeled by its shifted quantum numbers only; the implied
-    parameter shift (e.g. A0 -> A0+2 under K0-) is generally *not* the
-    chain value at the shifted numbers — single steps leave the separated
-    basis, and only the Xi composites return to it.
+    """Printed action of one primitive ladder on a basis state, a one-step
+    program.  The target is labeled by its shifted quantum numbers only; the
+    implied parameter shift (e.g. A0 -> A0+2 under K0-) is generally *not*
+    the chain value there — single steps leave the separated basis (the
+    chain check does not apply), and only the Xi composites return to it.
     """
-    if kind not in _LADDER_KINDS:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    if kind.startswith("K0"):
-        if slot is not None and slot != 0:
-            raise ValueError("radial ladders take no slot")
-    elif slot not in (1, 2, 3):
-        raise ValueError(f"{kind} needs slot in 1..3")
-    st = [*state, *scaled_chain(params, state)[:3]]
-    coeff = _walk(params, st, ((kind, slot),))
-    if coeff is None:
+    if kind not in _STEP_TABLE or slot not in ((None, 0) if kind[1] == "0" else (1, 2, 3)):
+        raise ValueError(f"no ladder {kind!r} on slot {slot!r} (K0 kinds take none, others 1..3)")
+    prog = _compile(params, ((kind, slot),))
+    hit = _xi_image(prog, params, state, scaled_chain(params, state))
+    if hit is None or not hit[1]:
         return LatticeVector.zero()
-    return LatticeVector({QuantumState(*st[:4]): coeff})
+    return LatticeVector._of({hit[0]: OmegaPoly._of(prog[5] + (hit[1],), prog[4])})
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +385,30 @@ def _xi_steps(params: SystemParams, i: int, sign: str):
     return head + tail
 
 
-def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
-    """Exact action of the composite Xi_i^sign on a basis state.
+def _xi_program(params: SystemParams, i: int, sign: str):
+    """The parameter set's compiled Xi_i^sign, kept in params._memo."""
+    key = ("xi-program", i, sign)
+    prog = params._memo.get(key)
+    if prog is None:
+        prog = params._memo[key] = _compile(params, _xi_steps(params, i, sign))
+    return prog
 
-    Composes the primitive ladders with per-step parameter advancement; the
-    image is a single basis state with the same exact energy, or zero when
-    any intermediate step leaves the lattice.  An image off the chain or off
-    the energy raises ChainBroken.  Nothing is kept (see `xi_operator`).
-    """
+
+def xi_action(i: int, sign: str, params: SystemParams, state) -> LatticeVector:
+    """Exact action of the composite Xi_i^sign on a basis state: the
+    parameter set's compiled program (`_xi_program`) at that state.  The image
+    is one basis state with the same exact energy, or zero when any step
+    leaves the lattice; an image off the chain or off the energy raises
+    ChainBroken.  No image is kept (see `xi_operator`)."""
     state = QuantumState(*state)
-    src = scaled_chain(params, state)
-    st = [*state, *src[:3]]
-    coeff = _walk(params, st, _xi_steps(params, i, sign))
-    if coeff is None:
+    prog = _xi_program(params, i, sign)
+    hit = _xi_image(prog, params, state, scaled_chain(params, state))
+    if hit is None:
         return LatticeVector.zero()
-    target = QuantumState(*st[:4])
-    # chain consistency: the advanced D·A must equal the target's integer chain
-    tgt = scaled_chain(params, target)
-    if tuple(st[4:]) != tgt[:3]:
-        raise ChainBroken("left the chain", state, i, sign, target)
-    if tgt[3] != src[3]:
-        raise ChainBroken("changed E", state, i, sign, target)
-    return LatticeVector._of({target: coeff} if coeff.num else {})
+    target, num, error = hit
+    if error:
+        raise ChainBroken(error, state, i, sign, target)
+    return LatticeVector._of({target: OmegaPoly._of(prog[5] + (num,), prog[4])} if num else {})
 
 
 def _leaf(params: SystemParams, key: tuple, build) -> LatticeOperator:
@@ -690,22 +685,25 @@ def identity_states(params: SystemParams, count: int = 20):
 
 
 def xi_sweep(params: SystemParams, nmax: int = 6):
-    """Apply every Xi_i^{+-} once to each state of the box n_i <= nmax.
+    """Apply every Xi_i^{+-} once to each state of the box n_i <= nmax: run
+    the six compiled programs on each state's integer chain, build no vector.
 
-    Returns (images, broken): images maps (i, sign) to the number of
-    on-lattice images, each checked by xi_action for chain consistency and
-    exact energy; broken lists the witnesses (state, i, sign, target) of the
-    applications that raised ChainBroken, which are counted as images too.
+    Returns (images, broken): images maps (i, sign) to the number of nonzero
+    on-lattice images, each checked as `xi_action` checks it; broken lists
+    the witnesses (state, i, sign, target) of the images that failed a check,
+    which are counted as images too.
     """
-    images = {(i, sign): 0 for i in (1, 2, 3) for sign in ("+", "-")}
-    broken = []
+    progs = {(i, sign): _xi_program(params, i, sign) for i in (1, 2, 3) for sign in "+-"}
+    images, broken = dict.fromkeys(progs, 0), []
     for st in enumerate_states(nmax):
-        for i, sign in images:
-            try:
-                images[(i, sign)] += len(xi_action(i, sign, params, st))
-            except ChainBroken as exc:
-                images[(i, sign)] += 1
-                broken.append(exc.witness)
+        src = scaled_chain(params, st)
+        for key, prog in progs.items():
+            hit = _xi_image(prog, params, st, src)
+            if hit:
+                target, num, error = hit
+                if error:
+                    broken.append((st, *key, target))
+                images[key] += bool(error or num)
     return images, broken
 
 

@@ -255,11 +255,68 @@ def xi_calls(monkeypatch):
     return calls
 
 
-def test_xi_sweep_memoizes_nothing(xi_calls):
+def test_xi_sweep_memoizes_nothing(monkeypatch):
+    """The sweep evaluates every (program, state) image anew on each call."""
+    images = Counter()
+    real = lattice._xi_image
+
+    def counted(prog, params, state, src):
+        images[prog, state] += 1
+        return real(prog, params, state, src)
+
+    monkeypatch.setattr(lattice, "_xi_image", counted)
     p = params_for((2, 1, 1), MIXED)
     xi_sweep(p, 3)
     xi_sweep(p, 3)
-    assert len(xi_calls) == 6 * 4 ** 4 and set(xi_calls.values()) == {2}
+    assert len(images) == 6 * 4 ** 4 and set(images.values()) == {2}
+
+
+def test_xi_programs_belong_to_the_parameter_set(monkeypatch):
+    """A parameter set compiles each of its six Xi programs once, whatever
+    asks for them; an equal but fresh parameter set compiles its own."""
+    compiled = Counter()
+    real = lattice._compile
+
+    def counted(params, steps):
+        compiled[id(params), tuple(steps)] += 1
+        return real(params, steps)
+
+    monkeypatch.setattr(lattice, "_compile", counted)
+    p, q = params_for((2, 1, 1), MIXED), params_for((2, 1, 1), MIXED)
+    assert p == q and hash(p) == hash(q)
+    xi_sweep(p, 2)
+    xi_sweep(p, 2)
+    for sign in "+-":
+        xi_action(1, sign, p, QuantumState(3, 2, 2, 2))
+    assert len(compiled) == 6 and set(compiled.values()) == {1}, compiled
+    assert xi_sweep(q, 2) == xi_sweep(p, 2)
+    assert {pid for pid, _ in compiled} == {id(p), id(q)}
+    assert len(compiled) == 12 and set(compiled.values()) == {1}, compiled
+
+
+def test_sweep_and_action_name_the_same_broken_images(monkeypatch):
+    """With one K0- step too many in Xi_1^+, the sweep counts and names the
+    broken images that xi_action raises on, in the same order."""
+    steps = lattice._xi_steps
+
+    def one_k0_step_too_many(params, i, sign):
+        extra = (("K0-", None),) if (i, sign) == (1, "+") else ()
+        return steps(params, i, sign) + extra
+
+    monkeypatch.setattr(lattice, "_xi_steps", one_k0_step_too_many)
+    p = params_for((2, 1, 1))
+    counts, witnesses = Counter(), []
+    for st in enumerate_states(3):
+        for i in (1, 2, 3):
+            for sign in "+-":
+                try:
+                    counts[i, sign] += len(xi_action(i, sign, p, st))
+                except lattice.ChainBroken as exc:
+                    counts[i, sign] += 1
+                    witnesses.append(exc.witness)
+    images, broken = xi_sweep(params_for((2, 1, 1)), 3)
+    assert witnesses and broken == witnesses
+    assert images == counts
 
 
 def test_xi_images_are_owned_by_the_parameter_set(xi_calls):
@@ -521,6 +578,23 @@ def test_integer_kernel_matches_fraction_reference(k, a):
             got = {tuple(t): c.coeffs for t, c in vec.items()}
             assert got == _expected_image(ref), (tuple(st), kind, slot)
     assert xi_sweep(p, 2)[1] == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=hst.tuples(*[_RATIONALS] * 3), a=hst.tuples(*[_POTENTIALS] * 4))
+def test_xi_sweep_counts_the_fraction_reference_images(k, a):
+    """At random rational k and a, the sweep counts the nonzero images of the
+    Fraction walker over the nmax-3 box and finds no broken image."""
+    p = SystemParams(*k, *a)
+    want = Counter()
+    for st in enumerate_states(3):
+        ext = [*st, *chain_reference(k, a, st)[:3]]
+        for i in (1, 2, 3):
+            for sign in ("+", "-"):
+                ref = walk_reference(a, ext, xi_steps_reference(k, i, sign))
+                want[i, sign] += ref is not None and ref[2] != 0
+    images, broken = xi_sweep(p, 3)
+    assert images == want and broken == []
 
 
 def test_xi_closed_form_composed_matches_action_on_interior_states():

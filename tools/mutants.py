@@ -6,7 +6,9 @@ entries also name known survivors: nodes that check nearby behaviour but
 miss the fault, each with the ROADMAP item that will close the gap.  The
 script copies src/, tests/ and tools/ into a temporary directory, checks
 that every node passes there unmutated, then applies one entry at a time,
-runs its nodes with pytest and prints the kill matrix.  The working tree
+runs its nodes with pytest and prints the kill matrix.  pytest runs under
+the "no-shrink" hypothesis profile of tests/conftest.py: a killed property
+reports its first failing example without shrinking it.  The working tree
 is never touched.
 
 Standard library only (pytest runs in a subprocess); run from anywhere:
@@ -45,20 +47,30 @@ class Mutant(NamedTuple):
 
 CATALOGUE = (
     Mutant("j-plus-sign", "lattice.py",
-           "return -2 * (n + 1) * (dn + da + db + D), 1, 0",
-           "return 2 * (n + 1) * (dn + da + db + D), 1, 0",
+           '"J+": (1, 0, -2, ("n+1", "Dn+da+db+D"), 1, 0),',
+           '"J+": (1, 0, 2, ("n+1", "Dn+da+db+D"), 1, 0),',
            (ACC + "test_criterion_04_xi1_closed_form_as_printed",
             LAT + "test_slot3_jacobi_raising_example")),
     Mutant("j-minus-coefficient", "lattice.py",
-           "return -2 * (dn + da) * (dn + db), 2, 0",
-           "return -2 * (dn + da) * (dn + db + D), 2, 0",
+           '"J-": (-1, 0, -2, ("Dn+da", "Dn+db"), 2, 0),',
+           '"J-": (-1, 0, -2, ("Dn+da", "Dn+db+D"), 2, 0),',
            (LAT + "test_jacobi_lowering_coefficient",),
            ((ACC + "test_criterion_05c_corrected_constants_close_everywhere", "7"),
             (ACC + "test_criterion_06_fifth_symmetry", "7"))),
     Mutant("k-minus-a-coefficient", "lattice.py",
-           "return 2 * (dn + da + db + D) * (dn + db), 2, 0",
-           "return 2 * (dn + da + db) * (dn + db), 2, 0",
+           '"K-a": (-1, 2, 2, ("Dn+da+db+D", "Dn+db"), 2, 0),',
+           '"K-a": (-1, 2, 2, ("Dn+da+db", "Dn+db"), 2, 0),',
            (LAT + "test_xi2_xi3_coefficients_are_printed_step_products",)),
+    Mutant("xi-guard-off-by-one", "lattice.py",
+           "guards[lvl] = max(guards.get(lvl, 0), 1 - delta[lvl])",
+           "guards[lvl] = max(guards.get(lvl, 0), -delta[lvl])",
+           (LAT + "test_index_ladder_below_lattice_is_zero",
+            LAT + "test_xi_sweep_counts_the_fraction_reference_images")),
+    Mutant("xi-program-key-drops-sign", "lattice.py",
+           'key = ("xi-program", i, sign)', 'key = ("xi-program", i)',
+           (LAT + "test_xi_programs_belong_to_the_parameter_set",
+            LAT + "test_xi_sweep_counts_the_fraction_reference_images",
+            LAT + "test_xi2_shift_pattern")),
     Mutant("extra-k0-minus-step", "lattice.py",
            'tail = (("K0-", None),) * p if i == 1',
            'tail = (("K0-", None),) * (p + 1) if i == 1',
@@ -132,7 +144,7 @@ def failing_nodes(tree: Path, nodes) -> set:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", *nodes],
+         "--continue-on-collection-errors", "--hypothesis-profile", "no-shrink", *nodes],
         cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
