@@ -34,7 +34,7 @@ from typing import Callable
 from ._expl211 import CORRECTED_TABLE, DERIV_INDEX, PRINTED_TABLE
 from .model import (AngularSlotGauge, QuantumState, SystemParams,
                     spectral_chain)
-from .numcore import EvalPoint, Jet, block, opoly_eval
+from .numcore import EvalPoint, Jet, _shifts, block, opoly_eval
 
 
 def coords(point, order: int):
@@ -106,12 +106,28 @@ class DiffOperator:
         coefficient once per output order, however many terms, products and
         operators ask for them at that context.  f is queried at order at
         most out_order + max_order; the result is the jet of (op f) of order
-        out_order at the point.
+        out_order at the point.  At out_order 0 it sums values (d^mu f is a
+        coefficient of F times mu!) with the order-0 jets' float operations.
         """
         ctx = EvalPoint.of(point)
+        top = max(sum(mu) for mu in self.terms) if self.terms else 0
+        if not out_order:
+            acc, n = 0.0, len(ctx)
+            if self.terms:
+                F = ctx.jet(f, top)
+                for mu, cf in self.terms.items():
+                    _, i, fact = _shifts(n, F.order, mu)[0]
+                    c, d = ctx.jet(cf, 0).value, F.coeffs[i]
+                    if c and d:
+                        acc += c * (d * fact)
+            for outer, inner in self.products:
+                v = outer.apply(inner.bind(f), ctx, 0).value
+                if v:
+                    acc += v
+            return Jet(tuple(ctx), 0, [acc])
         out = Jet.constant(0.0, ctx, out_order)
         if self.terms:
-            F = ctx.jet(f, out_order + max(sum(mu) for mu in self.terms))
+            F = ctx.jet(f, out_order + top)
             for mu, cf in self.terms.items():
                 out = out + ctx.jet(cf, out_order) * F.derivative_jet(mu, out_order)
         for outer, inner in self.products:
@@ -316,12 +332,37 @@ _TRIG = {"c": _trig(4, 1, lambda s, c: c), "s": _trig(4, 1, lambda s, c: s)}
 _INV_R_POWER = {m: _inv_r_power(m) for m in range(1, 5)}
 
 
-def _term_coeff(trig: str, m: int, scale: float) -> Callable:
-    """scale * r^-m * trig(4 theta1), trig one of "1", "c", "s"."""
-    if trig not in ("1", "c", "s"):
-        raise ValueError(f"unknown trig tag {trig!r}")
-    radial = coeff_scale(_INV_R_POWER[m], scale) if m else coeff_const(scale)
-    return radial if trig == "1" else coeff_prod(_TRIG[trig], radial)
+def _table_operator(rows) -> DiffOperator:
+    """Sum of scale * r^-m * trig(4 theta1) * d^mu over rows (mu, trig, m,
+    scale), trig one of "1", "c", "s".  Each mu gets one coefficient: its
+    rows' terms summed left to right in row order, over the point's shared
+    r^-m and trig jets.  At order 0 it does the order-0 jets' float
+    operations on their values."""
+    by_mu = {}
+    for mu, trig, m, scale in rows:
+        if trig not in ("1", "c", "s"):
+            raise ValueError(f"unknown trig tag {trig!r}")
+        by_mu.setdefault(mu, []).append((_TRIG.get(trig), m and _INV_R_POWER[m], float(scale)))
+
+    def coeff(terms):
+        def cf(p, o):
+            p, acc = EvalPoint.of(p), None
+            for trig, inv_r, scale in terms:
+                if o:
+                    term = p.jet(inv_r, o) if inv_r else Jet.constant(scale, p, o)
+                    term = term * scale if inv_r and scale != 1.0 else term
+                    term = p.jet(trig, o) * term if trig else term
+                    acc = term if acc is None else acc + term
+                    continue
+                v = p.jet(inv_r, 0).value if inv_r else scale
+                v = (v * scale if v else 0.0) if inv_r and scale != 1.0 else v
+                if trig:
+                    t = p.jet(trig, 0).value
+                    v = 0.0 + t * v if t and v else 0.0
+                acc = v if acc is None else (acc + v if v else acc)
+            return acc if o else Jet(tuple(p), 0, [acc])
+        return cf
+    return DiffOperator({mu: coeff(terms) for mu, terms in by_mu.items()})
 
 
 def build_example_L1plus(params: SystemParams) -> DiffOperator:
@@ -358,10 +399,9 @@ def build_example_L1plus(params: SystemParams) -> DiffOperator:
     a1sq = params.a1 ** 2
     outers = {}
     for (deriv, trig, rpow, smono), (c0, c1) in PRINTED_TABLE.items():
-        cf = _term_coeff(trig, rpow, float(c0 + c1 * a1sq))
-        outers.setdefault(smono, []).append((DERIV_INDEX[deriv], cf))
-    return DiffOperator((), [(DiffOperator(terms), hats[smono])
-                             for smono, terms in outers.items()])
+        outers.setdefault(smono, []).append((DERIV_INDEX[deriv], trig, rpow, c0 + c1 * a1sq))
+    return DiffOperator((), [(_table_operator(rows), hats[smono])
+                             for smono, rows in outers.items()])
 
 
 def example211_scalar(params: SystemParams, state, variant: str = "corrected") -> DiffOperator:
@@ -377,13 +417,13 @@ def example211_scalar(params: SystemParams, state, variant: str = "corrected") -
         raise ValueError("scalar substitution needs a fixed numeric omega")
     ch = spectral_chain(params, QuantumState(*state))
     E = opoly_eval(ch.E, params.omega)
-    items = []
+    rows = []
     if variant == "corrected":
         for (i, j), monos in CORRECTED_TABLE.items():
             for (m, trig, e, p0, p1, pa), (num, den) in monos.items():
                 cc = (Fraction(num, den) * E ** e * ch.A0 ** p0
                       * ch.A1 ** p1 * params.a1 ** pa)
-                items.append(((i, j, 0, 0), _term_coeff(trig, m, float(cc))))
+                rows.append(((i, j, 0, 0), trig, m, cc))
     elif variant == "printed":
         a1sq = params.a1 ** 2
         smono_vals = {"1": Fraction(1), "E": E, "E2": E ** 2,
@@ -391,8 +431,7 @@ def example211_scalar(params: SystemParams, state, variant: str = "corrected") -
                       "EA02": E * ch.A0 ** 2, "EA12": E * ch.A1 ** 2,
                       "A02A12": ch.A0 ** 2 * ch.A1 ** 2}
         for (deriv, trig, rpow, smono), (c0, c1) in PRINTED_TABLE.items():
-            cc = (c0 + c1 * a1sq) * smono_vals[smono]
-            items.append((DERIV_INDEX[deriv], _term_coeff(trig, rpow, float(cc))))
+            rows.append((DERIV_INDEX[deriv], trig, rpow, (c0 + c1 * a1sq) * smono_vals[smono]))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return DiffOperator(items)
+    return _table_operator(rows)

@@ -718,19 +718,24 @@ def window_independence(params: SystemParams):
 
     The window n_i <= max(2, p_i, q_i) grows with the largest ladder step:
     a window narrower than p_i or q_i truncates that L_i^+ to the zero
-    matrix and the test becomes vacuous.
+    matrix and the test becomes vacuous.  Each L_i^+ image is asked for
+    once, so it is summed from `xi_action` afresh, and no leaf keeps it.
     """
     window_nmax = max(2, *params.pq1, *params.pq2, *params.pq3)
     states = list(enumerate_states(window_nmax))
     inside = set(states)
+
+    def l_plus(i):
+        return LatticeOperator(lambda st: xi_action(i, "+", params, st)
+                               + xi_action(i, "-", params, st))
     ops = [("1", identity_operator()),
            ("H", h_operator(params)),
            ("L1", l_operator(params, 1)),
-           ("L1+", lpm_operator(params, 1, "+")),
+           ("L1+", l_plus(1)),
            ("L2", l_operator(params, 2)),
-           ("L2+", lpm_operator(params, 2, "+")),
+           ("L2+", l_plus(2)),
            ("L3", l_operator(params, 3)),
-           ("L3+", lpm_operator(params, 3, "+"))]
+           ("L3+", l_plus(3))]
     vectors = []
     for _, op in ops:
         flat = {}

@@ -12,9 +12,10 @@ Three layers live here:
   carry powers of the oscillator frequency).
 * :class:`Jet` — a truncated Taylor expansion of a smooth function at a
   point, stored as a flat float list with index tables cached per
-  (nvars, order), closed under ring arithmetic and elementary-function
-  composition.  All numeric differentiation in the function-space checks
-  goes through jets; there is no finite differencing outside the self-tests.
+  (nvars, order) (order-0 and univariate jets need none), closed under ring
+  arithmetic and elementary-function composition.  All numeric
+  differentiation in the function-space checks goes through jets; there is
+  no finite differencing outside the self-tests.
 
 :class:`EvalPoint` is the point at which jets are evaluated: a float tuple
 that memoizes, for its own lifetime, the coordinate, coefficient, evaluator
@@ -330,11 +331,13 @@ class Jet:
 
     ``coeffs`` is a flat list, never mutated, of the Taylor *coefficients*
     (not derivatives) c_mu of f = sum c_mu (x-p)^mu, one per multi-index in
-    ``multi_indices(nvars, order)`` order, constant term first.  Products go
-    through the cached index-product table, ``derivative_jet`` and ``lift``
-    through cached shift maps, and ``truncated`` is a prefix slice, since the
-    order is graded.  Zero entries are skipped, so a zero result entry is
-    +0.0.  The separated factors are jets with nvars = 1, lifted to 4.
+    ``multi_indices(nvars, order)`` order, constant term first.  Products of
+    multivariate jets of order >= 1 go through the cached index-product
+    table, order-0 and univariate ones add up each entry in the same order
+    without it; ``derivative_jet`` and ``lift`` go through cached shift maps,
+    and ``truncated`` is a prefix slice, since the order is graded.  Zero
+    entries are skipped and every entry sums from +0.0, so a zero result
+    entry is +0.0.  The separated factors are jets with nvars = 1, lifted to 4.
     """
 
     __slots__ = ("base", "order", "coeffs")
@@ -428,11 +431,8 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            out = self.coeffs.copy()
-            for i, c in enumerate(other.coeffs):
-                if c:
-                    out[i] += c
-            return Jet(self.base, self.order, out)
+            return Jet(self.base, self.order,
+                       [x + y if y else x for x, y in zip(self.coeffs, other.coeffs)])
         try:
             s = _scalar(other)
         except TypeError:
@@ -448,8 +448,10 @@ class Jet:
                    [-c if c else 0.0 for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return self + (-other)
+        if isinstance(other, Jet):  # self + (-other): x - y is x + (-y)
+            self._check(other)
+            return Jet(self.base, self.order,
+                       [x - y if y else x for x, y in zip(self.coeffs, other.coeffs)])
         try:
             s = _scalar(other)
         except TypeError:
@@ -462,10 +464,23 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
+            a, b = self.coeffs, other.coeffs
+            if not self.order:
+                ca, cb = a[0], b[0]
+                return Jet(self.base, 0, [0.0 + ca * cb if ca and cb else 0.0])
+            n = len(a)
+            out = [0.0] * n
+            if len(self.base) == 1:  # slot k = i + j, j ascending as in the table
+                for j, cb in enumerate(b):
+                    if cb:
+                        for k in range(j, n):
+                            ca = a[k - j]
+                            if ca:
+                                out[k] += ca * cb
+                return Jet(self.base, self.order, out)
             rows = _products(len(self.base), self.order)
-            nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
-            out = [0.0] * len(rows)
-            for j, cb in enumerate(other.coeffs):
+            nz = [(i, c) for i, c in enumerate(a) if c]
+            for j, cb in enumerate(b):
                 if cb:
                     row = rows[j]
                     for i, ca in nz:

@@ -3,7 +3,9 @@
 Both evaluators use the standard three-term recurrence in the degree, with
 step coefficients built once per spec.  The arithmetic is generic: handed a
 Fraction argument they stay exact end to end; handed a Jet they return the
-jet of the polynomial (derivatives come for free).  The steps do not depend
+jet of the polynomial (derivatives come for free).  A spec makes its exact
+steps float once for inexact arguments: the floats that each jet operation
+would otherwise take from a Fraction on every use.  The steps do not depend
 on the target degree (DLMF §18.9), so a caller may pass the chain [p_0,
 p_1, ...] of earlier values at the same argument and parameters: the call
 extends it and reads p_n off it, the very value a fresh call computes.
@@ -17,8 +19,18 @@ from fractions import Fraction
 from functools import cached_property
 
 
+class _Steps:
+    def steps(self, x) -> tuple:
+        """(degree1, recurrence), made float once for an inexact x."""
+        return (self.degree1, self.recurrence) if isinstance(x, (int, Fraction)) else self.floats
+
+    @cached_property
+    def floats(self):
+        return tuple(map(float, self.degree1)), tuple(tuple(map(float, c)) for c in self.recurrence)
+
+
 @dataclass(frozen=True)
-class JacobiSpec:
+class JacobiSpec(_Steps):
     """P_n^{(a,b)}; model-generated parameters satisfy a, b > -1.
 
     The recurrence below is well defined whenever a + b > -2, which also
@@ -49,9 +61,14 @@ class JacobiSpec:
 
 
 @dataclass(frozen=True)
-class LaguerreSpec:
+class LaguerreSpec(_Steps):
     n: int
     alpha: Fraction
+
+    @cached_property
+    def degree1(self):
+        """(d0, d1) of L_1 = d0 + d1 x, built on first use."""
+        return 1 + self.alpha, -1
 
     @cached_property
     def recurrence(self):
@@ -69,11 +86,11 @@ def jacobi_eval(spec: JacobiSpec, x, chain=None):
     if n == 0:
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
     chain = [] if chain is None else chain
+    (d0, d1), steps = spec.steps(x)
     if not chain:
-        d0, d1 = spec.degree1
         chain += (1, d0 + d1 * x)  # P_0, P_1
     while len(chain) <= n:
-        c1, c2, c3, c4 = spec.recurrence[len(chain) - 2]
+        c1, c2, c3, c4 = steps[len(chain) - 2]
         p_prev, p_cur = chain[-2:]
         chain.append((c2 * p_cur + c3 * (x * p_cur) - c4 * p_prev) / c1)
     return chain[n]
@@ -88,10 +105,11 @@ def laguerre_eval(spec: LaguerreSpec, x, chain=None):
     if n == 0:
         return x - x + 1 if not isinstance(x, Fraction) else Fraction(1)
     chain = [] if chain is None else chain
+    (d0, d1), steps = spec.steps(x)
     if not chain:
-        chain += (1, (1 + spec.alpha) - x)  # L_0, L_1
+        chain += (1, d0 + d1 * x)  # L_0, L_1
     while len(chain) <= n:
-        c1, c2, c3 = spec.recurrence[len(chain) - 2]
+        c1, c2, c3 = steps[len(chain) - 2]
         p_prev, p_cur = chain[-2:]
         chain.append((c1 * p_cur - (x * p_cur) - c2 * p_prev) / c3)
     return chain[n]

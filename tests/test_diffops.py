@@ -561,6 +561,20 @@ def test_shared_context_is_bit_identical_to_fresh_ones():
                     assert hexes(op.apply(f, pt, out_order)) == hexes(fresh)
 
 
+def test_value_apply_is_the_order_one_jet_truncated():
+    """The value path of `apply` (out_order 0) gives, under float.hex, the
+    constant term of the order-1 jet path, for every operator and function
+    of the sharing cases at both points."""
+    p = params_for((2, 1, 1), MIXED)
+    ops, fns = _sharing_cases(p)
+    for pt in ((1.2, 0.3, 0.7, 0.8), (0.9, 0.45, 1.1, 0.35)):
+        for op in ops:
+            for f in fns:
+                value = op.apply(f, EvalPoint(pt), 0)
+                jet = op.apply(f, EvalPoint(pt), 1).truncated(0)
+                assert [c.hex() for c in value.coeffs] == [c.hex() for c in jet.coeffs]
+
+
 def test_contexts_at_one_point_share_no_memo(monkeypatch):
     """Two contexts at one point share no memo.  Over the eigen box at one
     context, each (axis, k, order) trig block is built once (one sine per
@@ -587,7 +601,7 @@ def test_contexts_at_one_point_share_no_memo(monkeypatch):
 
     sines, steps = [], []
     sin = Jet.sin
-    recurrence = JacobiSpec.__dict__["recurrence"].func
+    floats = JacobiSpec.floats.func  # the steps that jet arguments read
 
     class Steps(tuple):
         def __getitem__(self, i):
@@ -595,12 +609,13 @@ def test_contexts_at_one_point_share_no_memo(monkeypatch):
             return tuple.__getitem__(self, i)
 
     def counted_steps(spec):
-        out = Steps(recurrence(spec))
+        degree1, out = floats(spec)
+        out = Steps(out)
         out.a, out.b = spec.a, spec.b
-        return out
+        return degree1, out
 
     monkeypatch.setattr(Jet, "sin", lambda jet: sines.append((jet.base, jet.order)) or sin(jet))
-    monkeypatch.setattr(JacobiSpec, "recurrence", property(counted_steps))
+    monkeypatch.setattr(JacobiSpec, "floats", property(counted_steps))
     states = list(enumerate_states(3))
     first = suites.eigen_residuals(p, states, [EvalPoint(pt)])
     assert len(sines) == len(set(sines)) == 3

@@ -908,6 +908,20 @@ def test_window_independence_rank_8():
         assert out["rank"] == 8
 
 
+def test_window_independence_keeps_no_image(monkeypatch):
+    """The window asks for each L_i^+ image once, so it sums `xi_action`
+    afresh, once per (i, sign, window state), and the parameter set gains no
+    Xi or L± leaf."""
+    p = params_for((2, 1, 1), MIXED)
+    calls, real = Counter(), lattice.xi_action
+    monkeypatch.setattr(lattice, "xi_action", lambda i, sign, params, st:
+                        calls.update([(i, sign, st)]) or real(i, sign, params, st))
+    out = window_independence(p)
+    assert out["rank"] == 8
+    assert len(calls) == 6 * (out["window_nmax"] + 1) ** 4 and set(calls.values()) == {1}
+    assert not [key for key in p._memo if key[0] in ("xi", "lpm")]
+
+
 def test_window_grows_with_ladder_steps():
     """p1 = 3 at k1 = 3/2 forces a window of at least 3 to keep L1+ nonzero."""
     p = params_for((F(3, 2), F(3, 2), 1))

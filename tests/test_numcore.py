@@ -379,7 +379,7 @@ def test_jet_mismatch_and_immutability():
 
 # -- flat core against the dict-based reference, bit for bit ---------------------
 
-_LAYOUTS = ((4, 2), (4, 5), (1, 5))
+_LAYOUTS = ((4, 2), (4, 5), (1, 5), (4, 0), (1, 0), (1, 2))
 _entry = st.one_of(st.just(0.0), st.just(-0.0),
                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
 
@@ -407,6 +407,8 @@ def test_flat_jet_core_matches_dict_reference(case):
     da, db = dict_jet(nvars, order, a), dict_jet(nvars, order, b)
     assert _bits((ja * jb).coeffs) == _bits(dict_jet_mul(da, db, order).values())
     assert _bits((ja + jb).coeffs) == _bits(dict_jet_add(da, db).values())
+    negb = {mu: -c for mu, c in db.items()}
+    assert _bits((ja - jb).coeffs) == _bits(dict_jet_add(da, negb).values())
     assert _bits((ja + series[0]).coeffs) == _bits(dict_jet_add_scalar(da, series[0]).values())
     assert _bits(ja._compose(series).coeffs) == _bits(
         dict_jet_compose(da, series, order).values())

@@ -107,9 +107,19 @@ CATALOGUE = (
            (NUM + "test_opoly_kernel_normal_form",
             NUM + "test_opoly_hash_agrees_with_equality")),
     Mutant("jet-add-keeps-zeros", "numcore.py",
-           "if c:\n                    out[i] += c",
-           "if True:\n                    out[i] += c",
+           "[x + y if y else x for", "[x + y for",
            (NUM + "test_flat_jet_core_matches_dict_reference",)),
+    Mutant("univariate-product-overwrites", "numcore.py",
+           "if ca:\n                                out[k] += ca * cb",
+           "if ca:\n                                out[k] = ca * cb",
+           (NUM + "test_flat_jet_core_matches_dict_reference",
+            NUM + "test_jet_square_of_coordinate",
+            ACC + "test_criterion_01_eigen_tower")),
+    Mutant("value-apply-drops-factorial", "diffops.py",
+           "acc += c * (d * fact)", "acc += c * d",
+           (DIF + "test_value_apply_is_the_order_one_jet_truncated",
+            DIF + "test_pure_second_derivative_on_slot3",
+            ACC + "test_criterion_09c_working_table_matches_lattice")),
     Mutant("build-l1-correction", "diffops.py", "corr / 4", "corr / 2",
            (ACC + "test_criterion_08_conformal_covariance",
             DIF + "test_tower_eigen_equations")),
@@ -175,7 +185,7 @@ def main() -> int:
             print(f"nodes failing on the unmutated copy: {sorted(broken)}", file=sys.stderr)
             return 2
         misses = 0
-        print(f"{'mutant':<26} {'expected':<9} {'result':<9} node")
+        print(f"{'mutant':<30} {'expected':<9} {'result':<9} node")
         for m in CATALOGUE:
             path = tree / PACKAGE / m.module
             clean = path.read_text(encoding="utf-8")
@@ -194,9 +204,9 @@ def main() -> int:
                 got = "killed" if node in killed else "survived"
                 ok = (got == "killed") == (want == "kill")
                 misses += not ok
-                print(f"{m.name:<26} {want:<9} {got:<9} {node}{note}"
+                print(f"{m.name:<30} {want:<9} {got:<9} {node}{note}"
                       + ("" if ok else "   <-- not as expected"))
-            print(f"{'':<26} {time.perf_counter() - t0:.1f} s")
+            print(f"{'':<30} {time.perf_counter() - t0:.1f} s")
         print(f"{len(CATALOGUE)} mutants, {misses} expectations not met")
         return 1 if misses else 0
 
