@@ -21,10 +21,11 @@ itself and drops it when the point is done: memos never outlive their point.
 The coefficient combinators below evaluate their operands through the
 context, so a factor shared by nested terms is built once.
 
-Built here: the commuting tower H, L1, L2, L3 (with the quantum-corrected
-potential terms), the printed one-variable ladders K0^{+-}, J^{+-},
-K^{+-a}, and the explicit 5th-order raising-sum operator for k = (2,1,1)
-in both its printed and corrected forms (tables in _expl211).
+Built here: the commuting tower H, L1, L2, L3, level j by `build_level`
+from row j of `model.tower_table` (`build_h` is level 0), the printed
+one-variable ladders K0^{+-}, J^{+-}, K^{+-a}, and the explicit 5th-order
+raising-sum operator for k = (2,1,1) in both its printed and corrected
+forms (tables in _expl211).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Callable
 
 from ._expl211 import CORRECTED_TABLE, DERIV_INDEX, PRINTED_TABLE
 from .model import (AngularSlotGauge, QuantumState, SystemParams,
-                    spectral_chain)
+                    spectral_chain, tower_table)
 from .numcore import EvalPoint, Jet, _shifts, block, opoly_eval
 
 
@@ -178,66 +179,47 @@ def _trig(k: Fraction, axis: int, fn) -> Callable:
     return cf
 
 
-def _inv_sin2(k: Fraction, axis: int):
-    return _trig(k, axis, lambda s, c: 1.0 / (s * s))
+def _tower_coeff(params: SystemParams, j: int, coef, kind: str) -> Callable:
+    """The coefficient coef * kind of a level-j `tower_table` entry, with each
+    kind's float operations: (1/cos^2 or 1/sin^2) * coef, coef / r^2 and
+    r^2 * (coef w w)."""
+    if kind in ("sec2", "csc2"):
+        sq = (lambda s, c: 1.0 / (c * c)) if kind == "sec2" else (lambda s, c: 1.0 / (s * s))
+        return coeff_scale(_trig(params.k(j), j, sq), coef)
+    cf = float(coef)
+    if kind == "inv_r2":
+        return coeff_vars(lambda r, t1, t2, t3: cf / (r * r))
+    w = float(params.omega)
+    return coeff_vars(lambda r, t1, t2, t3: (r * r) * (cf * w * w))
 
 
-def _inv_cos2(k: Fraction, axis: int):
-    return _trig(k, axis, lambda s, c: 1.0 / (c * c))
-
-
-def _cot(k: Fraction, axis: int, scale):
-    sf = float(scale)
-    return _trig(k, axis, lambda s, c: sf * c / s)
-
-
-def build_l3(params: SystemParams) -> DiffOperator:
-    b3, b4 = params.beta3, params.beta4
-    const = coeff_sum(coeff_scale(_inv_cos2(params.k3, 3), b3),
-                      coeff_scale(_inv_sin2(params.k3, 3), b4))
-    return DiffOperator({(0, 0, 0, 2): coeff_const(1), (0, 0, 0, 0): const})
-
-
-def _nested(outer_terms, inner: DiffOperator, factor):
-    """outer + factor * inner, expanded into plain terms."""
-    items = list(outer_terms)
-    for mu, cf in inner.terms.items():
-        items.append((mu, coeff_prod(factor, cf)))
+def build_level(params: SystemParams, j: int) -> DiffOperator:
+    """Level j of the commuting tower (0: H, 1..3: L1..L3) from row j of
+    `tower_table`: the terms d_j^2, first * g_j d_j and the potential terms
+    summed in row order, then the nest factor times each term of level j + 1."""
+    if j == 0 and params.omega is None:
+        raise ValueError("build_h needs a fixed numeric omega")
+    first, potential, nest = tower_table(params)[j]
+    mu2, mu1, mu0 = (tuple(m if i == j else 0 for i in range(4)) for m in (2, 1, 0))
+    items = [(mu2, coeff_const(1))]
+    if first:
+        sf = float(first)
+        items.append((mu1, coeff_vars(lambda r, t1, t2, t3: sf / r) if j == 0
+                      else _trig(params.k(j), j, lambda s, c: sf * c / s)))
+    pot = None
+    for coef, kind in potential:
+        term = _tower_coeff(params, j, coef, kind)
+        pot = term if pot is None else coeff_sum(pot, term)
+    items.append((mu0, pot))
+    if nest:
+        factor = _tower_coeff(params, j, 1, nest)
+        items += [(mu, coeff_prod(factor, cf))
+                  for mu, cf in build_level(params, j + 1).terms.items()]
     return DiffOperator(items)
 
 
-def build_l2(params: SystemParams) -> DiffOperator:
-    outer = [((0, 0, 2, 0), coeff_const(1)),
-             ((0, 0, 1, 0), _cot(params.k2, 2, params.k2)),
-             ((0, 0, 0, 0), coeff_scale(_inv_cos2(params.k2, 2), params.beta2))]
-    return _nested(outer, build_l3(params), _inv_sin2(params.k2, 2))
-
-
-def build_l1(params: SystemParams) -> DiffOperator:
-    corr = params.k1 ** 2 - params.k2 ** 2  # quantum correction strength
-    const = coeff_sum(coeff_scale(_inv_cos2(params.k1, 1), params.beta1),
-                      coeff_scale(_inv_sin2(params.k1, 1), corr / 4))
-    outer = [((0, 2, 0, 0), coeff_const(1)),
-             ((0, 1, 0, 0), _cot(params.k1, 1, 2 * params.k1)),
-             ((0, 0, 0, 0), const)]
-    return _nested(outer, build_l2(params), _inv_sin2(params.k1, 1))
-
-
 def build_h(params: SystemParams) -> DiffOperator:
-    if params.omega is None:
-        raise ValueError("build_h needs a fixed numeric omega")
-    w = float(params.omega)
-    c1msq = float(1 - params.k1 ** 2)
-    def radial_const(r, t1, t2, t3):
-        return (r * r) * (-w * w) + c1msq / (r * r)
-    def inv_r2(r, t1, t2, t3):
-        return 1.0 / (r * r)
-    def inv_r(r, t1, t2, t3):
-        return 3.0 / r
-    outer = [((2, 0, 0, 0), coeff_const(1)),
-             ((1, 0, 0, 0), coeff_vars(inv_r)),
-             ((0, 0, 0, 0), coeff_vars(radial_const))]
-    return _nested(outer, build_l1(params), coeff_vars(inv_r2))
+    return build_level(params, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +360,8 @@ def build_example_L1plus(params: SystemParams) -> DiffOperator:
     """
     _require_211(params)
     H = build_h(params)
-    L1 = build_l1(params)
-    L2 = build_l2(params)
+    L1 = build_level(params, 1)
+    L2 = build_level(params, 2)
     I = identity_diffop()
     k1sq = float(params.k1 ** 2)
     k2sq = float(params.k2 ** 2)

@@ -160,20 +160,6 @@ def weyl_invariant_closed(params: SystemParams, point) -> float:
     return abs(2 * (k1 ** 2 - k2 ** 2)) / (r ** 2 * s2)
 
 
-def vhat1(params: SystemParams, point) -> float:
-    """First quantum correction (k1^2 - k2^2)/(4 r^2 sin^2 k1 t1)."""
-    r, t1 = float(point[0]), float(point[1])
-    k1, k2 = float(params.k1), float(params.k2)
-    return float(params.k1 ** 2 - params.k2 ** 2) / (
-        4 * r ** 2 * math.sin(k1 * t1) ** 2)
-
-
-def vhat2(params: SystemParams, point) -> float:
-    """Second quantum correction (1 - k1^2)/r^2."""
-    r = float(point[0])
-    return float(1 - params.k1 ** 2) / r ** 2
-
-
 # -- Laplace–Beltrami -----------------------------------------------------------
 
 def laplace_beltrami(params: SystemParams) -> DiffOperator:

@@ -384,6 +384,27 @@ def potential_v0(params: SystemParams, point) -> float:
             + float(params.beta4) / (r * r * s1 * s1 * s2 * s2 * s3 * s3))
 
 
+def tower_table(params: SystemParams) -> tuple:
+    """The commuting tower H, L1, L2, L3: one row of exact entries per level.
+
+    Row j = (first, potential, nest) is the level acting on x_j = (r,
+    theta1, theta2, theta3)[j]: d_j^2 + first * g_j d_j + the terms c * kind
+    of the (c, kind) pairs in `potential` + nest * (level j + 1), with
+    g_0 = 1/r and g_j = cot k_j theta_j.  The kinds are "sec2" and "csc2"
+    (1/cos^2 and 1/sin^2 of k_j theta_j) on a slot row, "w2r2" (w^2 r^2) and
+    "inv_r2" (1/r^2) on the radial row; the last row has no nest.  The
+    entries 1 - k1^2 of 1/r^2 (row 0) and (k1^2 - k2^2)/4 of 1/sin^2 k1 theta1
+    (row 1) are the curvature corrections to the classical V0
+    (`potential_v0`): with them H = Laplace-Beltrami + V0 - R/6 - W/24.  No
+    entry depends on omega.
+    """
+    k1, k2 = params.k1, params.k2
+    return ((Fraction(3), ((Fraction(-1), "w2r2"), (1 - k1 ** 2, "inv_r2")), "inv_r2"),
+            (2 * k1, ((params.beta1, "sec2"), ((k1 ** 2 - k2 ** 2) / 4, "csc2")), "csc2"),
+            (k2, ((params.beta2, "sec2"),), "csc2"),
+            (Fraction(0), ((params.beta3, "sec2"), (params.beta4, "csc2")), None))
+
+
 # ---------------------------------------------------------------------------
 # spectrum bookkeeping
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .lattice import (DivisorSingular, LatticeVector, check_identity,
                       xi_sweep)
 from .model import (QuantumState, SystemParams, enumerate_states,
                     gauge_for_slot, radial_factor, slot_factor,
-                    spectral_chain, wavefunction)
+                    spectral_chain, tower_table, wavefunction)
 from .numcore import EvalPoint, Jet, opoly_eval
 
 _TINY = 1e-300
@@ -116,13 +116,34 @@ def _jet_vals(jet) -> tuple:
     return c0, c1, 2 * c2
 
 
+def _tower_floats(params: SystemParams, table, point):
+    """Per `tower_table` row, the floats at a point: the first-derivative
+    coefficient (3/r, 2 k1 cot k1 theta1, k2 cot k2 theta2, 0), the
+    potential (terms c / cos^2, c / sin^2, c / r^2 and c w w r r, summed
+    left to right from the first) and the square its nest factor divides by
+    (r^2 or sin^2 k_j theta_j; None on the last row)."""
+    r, w = point[0], float(params.omega)
+    for j, (first, potential, nest) in enumerate(table):
+        if j:
+            x = float(params.k(j)) * point[j]
+            s, c = math.sin(x), math.cos(x)
+            den, first = {"sec2": c ** 2, "csc2": s ** 2}, float(first) * (c / s)
+        else:
+            den, first = {"inv_r2": r * r}, float(first) / r
+        pot = None
+        for coef, kind in potential:
+            term = float(coef) * w * w * r * r if kind == "w2r2" else float(coef) / den[kind]
+            pot = term if pot is None else pot + term
+        yield first, pot, den.get(nest)
+
+
 def eigen_residuals(params: SystemParams, states, points) -> list:
     """Per state, the max relative residual of HPsi = E Psi and L_i Psi = l_i Psi.
 
-    The tower is written out slot by slot instead of applying the
-    `diffops` operators `build_h` and `build_l1..3`: over the default grid
-    that generic path changes the bits of 1998 of 2048 residuals (all still
-    pass) and is 4-5x slower.
+    The levels read `tower_table`, as `diffops.build_level` does, but act on
+    the separated factors slot by slot.  Over the default grid the generic
+    path changes the bits of 1996 of 2048 residuals (all still pass); its
+    H.apply alone takes 3x this function's time at one context per point.
     The points (`EvalPoint`s) are taken one at a time, for every state: a
     point's scalars are computed once, and its memo shares the levels, L3
     Psi with its residual per slot-3 factor, the L2 level per (slot-2,
@@ -131,11 +152,7 @@ def eigen_residuals(params: SystemParams, states, points) -> list:
     gauges), so the state loop computes only the radial level, and every
     float is the one a state-by-state pass computes.
     """
-    w = float(params.omega)
-    k1, k2, k3 = (float(params.k(i)) for i in (1, 2, 3))
-    b1, b2, b3, b4 = (float(b) for b in
-                      (params.beta1, params.beta2, params.beta3, params.beta4))
-    kdiff = float(params.k1 ** 2 - params.k2 ** 2)
+    table = tower_table(params)
     evs, rows = {}, []  # equal factors of different states are one evaluator
     for st in states:
         psi = wavefunction(params, st)
@@ -146,16 +163,9 @@ def eigen_residuals(params: SystemParams, states, points) -> list:
                      float(ch.ell3), float(opoly_eval(ch.E, params.omega))))
     worst = [0.0] * len(rows)
     for ctx in points:
-        r, t1, t2, t3 = ctx
         memo = ctx.memo
-        s1sq = math.sin(k1 * t1) ** 2
-        s2sq = math.sin(k2 * t2) ** 2
-        pot3 = b3 / math.cos(k3 * t3) ** 2 + b4 / math.sin(k3 * t3) ** 2
-        cot2 = k2 * (math.cos(k2 * t2) / math.sin(k2 * t2))
-        pot2 = b2 / math.cos(k2 * t2) ** 2
-        cot1 = 2 * k1 * (math.cos(k1 * t1) / math.sin(k1 * t1))
-        pot1 = b1 / math.cos(k1 * t1) ** 2 + kdiff / (4 * s1sq)
-        inv_r3, pot0, rsq = 3 / r, -w * w * r * r + (1 - k1 * k1) / (r * r), r * r
+        ((inv_r3, pot0, rsq), (cot1, pot1, s1sq), (cot2, pot2, s2sq),
+         (_, pot3, _)) = _tower_floats(params, table, ctx)
         for j, (f0, f1, f2, f3, key3, key23, key123, l1, l2, l3, E) in enumerate(rows):
             # innermost slot
             lv3 = memo.get(key3)

@@ -11,9 +11,7 @@ from ttw4d.diffops import (
     build_h,
     build_index_ladder,
     build_jacobi_ladder,
-    build_l1,
-    build_l2,
-    build_l3,
+    build_level,
     build_radial_ladder,
     coeff_const,
     coeff_vars,
@@ -91,7 +89,7 @@ def test_first_order_radial_term():
 
 def test_linearity():
     p = params_for((2, 1, 1), MIXED)
-    op = build_l2(p)
+    op = build_level(p, 2)
     f = fn_of(lambda r, t1, t2, t3: (t2 * 1.3).sin() + t3 * t3)
     g = fn_of(lambda r, t1, t2, t3: (t2 * t3).cos())
     fg = fn_of(lambda r, t1, t2, t3: ((t2 * 1.3).sin() + t3 * t3) * 2.0
@@ -187,7 +185,7 @@ def test_max_order_of_products_and_sums():
 
 def test_l3_eigen():
     p = params_for((2, 1, 1), MIXED)
-    op = build_l3(p)
+    op = build_level(p, 3)
     for st in (QuantumState(0, 0, 0, 0), QuantumState(0, 0, 0, 2),
                QuantumState(1, 1, 1, 3)):
         d = spectral_chain(p, st)
@@ -205,7 +203,8 @@ def test_tower_eigen_equations():
     rng = random.Random(97)
     for k, a in (((1, 1, 1), HALVES), ((2, 1, 1), MIXED)):
         p = params_for(k, a)
-        ops = {"H": build_h(p), "L1": build_l1(p), "L2": build_l2(p), "L3": build_l3(p)}
+        ops = {"H": build_h(p), "L1": build_level(p, 1), "L2": build_level(p, 2),
+               "L3": build_level(p, 3)}
         for _ in range(4):
             st = QuantumState(*(rng.randint(0, 2) for _ in range(4)))
             d = spectral_chain(p, st)
@@ -251,7 +250,7 @@ def test_ground_state_energy_isotropic():
 def test_l2_l3_commute_on_generic_functions():
     """[L2, L3] vanishes on non-eigenfunctions too (they share no raw coordinate)."""
     p = params_for((2, 1, 1), MIXED)
-    L2, L3 = build_l2(p), build_l3(p)
+    L2, L3 = build_level(p, 2), build_level(p, 3)
     C = L2.compose(L3) - L3.compose(L2)
     rng = random.Random(103)
     for _ in range(10):
@@ -529,7 +528,7 @@ def _sharing_cases(p):
     st = QuantumState(4, 2, 3, 1)
     ch = spectral_chain(p, st)
     g2 = gauge_for_slot(p, ch, 2)
-    ops = [build_h(p), build_l1(p), laplace_beltrami(p),
+    ops = [build_h(p), build_level(p, 1), laplace_beltrami(p),
            build_radial_ladder(p, st.n0, ch.A0, "-"),
            build_jacobi_ladder(g2, st.n2, "+"),
            build_example_L1plus(p),

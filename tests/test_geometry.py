@@ -5,17 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from ttw4d.diffops import build_h
 from ttw4d.geometry import (
     conformal_identity_check,
     curvature_at,
     laplace_beltrami,
     metric_diag_jets,
     scalar_curvature_closed,
-    vhat1,
-    vhat2,
     weyl_invariant_closed,
 )
-from ttw4d.model import QuantumState, SystemParams, wavefunction
+from ttw4d.model import QuantumState, SystemParams, potential_v0, wavefunction
 from ttw4d.numcore import Jet
 
 HALVES = (F(1, 2),) * 4
@@ -223,10 +222,16 @@ def test_laplacian_theta1_drift_coefficient():
 
 
 def test_quantum_corrections_match_minus_r6_minus_w24():
-    """V̂₁ + V̂₂ equals -R/6 - W/24 with the signed Weyl invariant."""
+    """H 1 - V0, the tower's curvature corrections, equals -R/6 - W/24 with
+    the signed Weyl invariant."""
     rng = random.Random(151)
+
+    def one(pt, o):
+        return Jet.constant(1.0, pt, o)
+
     for k in ((1, 1, 1), (2, 1, 1), (F(3, 2), F(3, 2), 1), (2, 1, 2)):
-        p = params_for(k, MIXED)
+        p = params_for(k, MIXED, omega=F(1))
+        H = build_h(p)
         for _ in range(6):
             pt = (rng.uniform(0.6, 2.2),
                   rng.uniform(0.15, 0.85) * math.pi / (2 * float(p.k1)),
@@ -235,7 +240,7 @@ def test_quantum_corrections_match_minus_r6_minus_w24():
             rep = curvature_at(p, pt)
             wsigned = rep.W if p.k1 >= p.k2 else -rep.W
             lhs = -rep.R / 6.0 - wsigned / 24.0
-            rhs = vhat1(p, pt) + vhat2(p, pt)
+            rhs = H.apply(one, pt, 0).value - potential_v0(p, pt)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 

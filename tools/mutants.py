@@ -120,9 +120,19 @@ CATALOGUE = (
            (DIF + "test_value_apply_is_the_order_one_jet_truncated",
             DIF + "test_pure_second_derivative_on_slot3",
             ACC + "test_criterion_09c_working_table_matches_lattice")),
-    Mutant("build-l1-correction", "diffops.py", "corr / 4", "corr / 2",
-           (ACC + "test_criterion_08_conformal_covariance",
-            DIF + "test_tower_eigen_equations")),
+    Mutant("build-l1-correction", "model.py",
+           "(k1 ** 2 - k2 ** 2) / 4", "(k1 ** 2 - k2 ** 2) / 2",
+           (ACC + "test_criterion_01_eigen_tower",
+            ACC + "test_criterion_08_conformal_covariance",
+            DIF + "test_tower_eigen_equations",
+            GEO + "test_quantum_corrections_match_minus_r6_minus_w24")),
+    Mutant("tower-slot2-kind", "model.py",
+           '((params.beta2, "sec2"),)', '((params.beta2, "csc2"),)',
+           (ACC + "test_criterion_01_eigen_tower",
+            ACC + "test_criterion_08_conformal_covariance",
+            DIF + "test_tower_eigen_equations",
+            GEO + "test_quantum_corrections_match_minus_r6_minus_w24",
+            GEO + "test_conformal_identity_on_generic_functions")),
     Mutant("k2sq-for-k1sq", "diffops.py",
            "A02 = I.scale(k1sq) - L1", "A02 = I.scale(k2sq) - L1",
            (ACC + "test_criterion_09_explicit_operator_as_printed",)),
