@@ -18,9 +18,10 @@ convention (`xi_operator`, `lpm_operator`, `m1_minus_operator`), kept in
 params._memo, and each computes a state's image once for that parameter
 set's lifetime.  Diagonals, P^{(+-)}, every +, -, scale and @, `xi_action`
 and `xi_sweep` keep nothing.  L^{+-}, P^{(+-)} and M_1^- are expressions
-over the Xi leaves and diagonal leaves (the source-state divisors).  The
-same dict also keeps the residual operator of each bracket and cubic
-identity (`check_identity`) and each Xi program (`_xi_program`): no image.
+over the Xi leaves and diagonal leaves (the source-state divisors).  A
+diagonal (H, L_i, S_1, a divisor) carries its values, and a product or
+bracket with it scales one image.  The same dict keeps each identity's
+operators (`check_identity`) and each Xi program (`_xi_program`): no image.
 
 The primitive ladder steps act on an *extended* state that carries the
 shiftable parameters (A0, A1, A2) alongside (n0..n3), because a single step
@@ -197,13 +198,14 @@ class LatticeOperator:
     """Exact linear operator given by its image map QuantumState -> LatticeVector.
 
     An operator computes an image each time it is asked for one; only the
-    parameter set's leaves keep images (see `_leaf`).
+    parameter set's leaves keep images (see `_leaf`) and a diagonal its values.
     """
 
-    __slots__ = ("_image",)
+    __slots__ = ("_image", "_values")
 
-    def __init__(self, image):
+    def __init__(self, image, values=None):
         object.__setattr__(self, "_image", image)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, *a):
         raise AttributeError("LatticeOperator is immutable")
@@ -212,6 +214,9 @@ class LatticeOperator:
         return self._image(QuantumState(*state))
 
     def on_vector(self, vec: LatticeVector) -> LatticeVector:
+        if len(vec.terms) == 1:  # one source state: its image, scaled
+            ((st, c),) = vec.terms.items()
+            return LatticeVector._of({t: v * c for t, v in self._image(st).items()})
         acc = {}
         for st, c in vec.items():
             _add_into(acc, ((t, v * c) for t, v in self._image(st).items()))
@@ -231,20 +236,49 @@ class LatticeOperator:
 
     def __matmul__(self, other: "LatticeOperator") -> "LatticeOperator":
         """Composition self ∘ other (other acts first)."""
-        return LatticeOperator(lambda st: self.on_vector(other._image(st)))
+        return (_with_diagonal(self, other, 0)
+                or LatticeOperator(lambda st: self.on_vector(other._image(st))))
+
+
+def _with_diagonal(a: LatticeOperator, b: LatticeOperator, sign: int):
+    """a @ b (sign 0) or a @ b + sign (b @ a) from one scaled image when a or
+    b is diagonal with values d, else None.  Reads: d(st), a(st) (skipped by a
+    product at d(st) = 0), each d(t) for b = d; b(st), each d(t), d(st) for a
+    = d.  Weights: d(st) + sign d(t) for b = d, d(t) + sign d(st) for a = d."""
+    right = b._values is not None
+    if not right and a._values is None:
+        return None
+    d, x = (b._values, a) if right else (a._values, b)
+
+    def image(st: QuantumState) -> LatticeVector:
+        ds = d(st) if right else None
+        if right and not sign:
+            return LatticeVector._of({t: v * ds for t, v in x._image(st).items()}
+                                     if ds.num else {})
+        terms = x._image(st).items()
+        dt = [d(t) for t, _ in terms]
+        if not sign:
+            return LatticeVector._of({t: v * c for (t, v), c in zip(terms, dt) if c.num})
+        ds = ds if right else d(st)
+        return LatticeVector._of({  # a commutator skips the subtraction where d(t) = d(st)
+            t: v * w for (t, v), c in zip(terms, dt)
+            if (sign > 0 or c != ds) and (w := ds + sign * c if right else c + sign * ds).num})
+    return LatticeOperator(image)
 
 
 def commutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
-    return (a @ b) - (b @ a)
+    return _with_diagonal(a, b, -1) or (a @ b) - (b @ a)
 
 
 def anticommutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
-    return (a @ b) + (b @ a)
+    return _with_diagonal(a, b, 1) or (a @ b) + (b @ a)
 
 
 def symmetrized_triple(a, b, c) -> LatticeOperator:
     """Full 6-permutation symmetrizer {A,B,C} (repeats counted): a word that
     equal operands repeat is built once and scaled by its multiplicity."""
+    if b is c:  # {a, b, b} = 2 ({a, b b} + b a b): one b b image for a diagonal a
+        return 2 * (anticommutator(a, b @ b) + b @ (a @ b))
     words = Counter(itertools.permutations((a, b, c)))
     first, *rest = [(m * (x @ (y @ z)) if m > 1 else x @ (y @ z))
                     for (x, y, z), m in words.items()]
@@ -256,11 +290,14 @@ def identity_operator() -> LatticeOperator:
 
 
 def diagonal_operator(fn) -> LatticeOperator:
-    """Multiplication operator: state -> fn(state) * state."""
+    """Multiplication operator: state -> fn(state) * state, with its values."""
+    def value(st: QuantumState) -> OmegaPoly:
+        return _as_opoly(fn(st))
+
     def image(st: QuantumState) -> LatticeVector:
-        c = _as_opoly(fn(st))
-        return LatticeVector._of({} if c.is_zero() else {st: c})
-    return LatticeOperator(image)
+        c = value(st)
+        return LatticeVector._of({st: c} if c.num else {})
+    return LatticeOperator(image, value)
 
 
 def h_operator(params: SystemParams) -> LatticeOperator:
@@ -609,21 +646,22 @@ def check_identity(i: int, which: str, params: SystemParams, state,
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     if which == "cross-commute":
-        for j in (1, 2, 3):
-            if j == i:
-                continue
-            Lj = l_operator(params, j)
-            for s in ("+", "-"):
-                r = commutator(Lj, lpm_operator(params, i, s))(state)
-                if not r.is_zero():
-                    return r
-            if abs(i - j) > 1:
-                for s in ("+", "-"):
-                    for t in ("+", "-"):
-                        r = commutator(lpm_operator(params, j, s),
-                                       lpm_operator(params, i, t))(state)
-                        if not r.is_zero():
-                            return r
+        key = ("cross-commute", i)
+        brackets = params._memo.get(key)  # built once per set, checked in this order
+        if brackets is None:
+            brackets = []
+            for j in (1, 2, 3):
+                if j != i:
+                    Lj = l_operator(params, j)
+                    brackets += [commutator(Lj, lpm_operator(params, i, s)) for s in "+-"]
+                if abs(i - j) > 1:
+                    brackets += [commutator(lpm_operator(params, j, s), lpm_operator(params, i, t))
+                                 for s in "+-" for t in "+-"]
+            params._memo[key] = brackets
+        for R in brackets:
+            r = R(state)
+            if not r.is_zero():
+                return r
         return LatticeVector.zero()
 
     key = ("identity", i, which, convention, variant)

@@ -170,9 +170,10 @@ def scaled_chain(params: SystemParams, state):
 def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     """Derived parameter chain and energy for a lattice state.
 
-    A0..A2 and E come from the integer chain.  The energy is computed twice
-    — through A0 and through its fully expanded linear form — and the two
-    are asserted equal (exact, in integers).  Memoized in params._memo.
+    A0..A2, the ell's and E come from the integer chain, one Fraction each:
+    ell3 = -k3^2 X3^2 / D^2, ell2 = k2^2 (D^2 - 4 X2^2) / (4 D^2), ell1 = k1^2
+    - A0^2, for X3 = D (2 n3 + a3 + a4 + 1), X2 = D (2 n2 + a2 + A2 + 1).  E
+    via A0 must equal its expanded form (asserted).  Memoized in params._memo.
     """
     if type(state) is not QuantumState:
         state = QuantumState(*state)
@@ -184,15 +185,16 @@ def spectral_chain(params: SystemParams, state: QuantumState) -> SpectralData:
     c, e0, e1, e2, e3 = params._energy
     if dE != c + e0 * n0 + e1 * n1 + e2 * n2 + e3 * n3:
         raise AssertionError("energy chain inconsistency (A0 form vs expanded form)")
-    D = params.D
-    k1, k2, k3 = params.k1, params.k2, params.k3
-    a2, a3, a4 = params.a2, params.a3, params.a4
-    A2, A1, A0 = Fraction(dA2, D), Fraction(dA1, D), Fraction(dA0, D)
-    ell3 = -k3 ** 2 * (2 * n3 + a3 + a4 + 1) ** 2
-    ell2 = k2 ** 2 * Fraction(1, 4) - k2 ** 2 * (2 * n2 + a2 + A2 + 1) ** 2
-    ell1 = k1 ** 2 - A0 ** 2
-    ch = params._memo[state] = SpectralData(A2, A1, A0, ell3, ell2, ell1,
-                                            OmegaPoly._of((0, dE) if dE else (), D))
+    D, (_, Da2, Da3, Da4) = params.D, params.Da
+    (k1n, k1d), (k2n, k2d), (k3n, k3d) = map(Fraction.as_integer_ratio,
+                                             (params.k1, params.k2, params.k3))
+    X3, X2 = 2 * n3 * D + Da3 + Da4 + D, 2 * n2 * D + Da2 + dA2 + D
+    ell3 = Fraction(-k3n * k3n * X3 * X3, (k3d * D) ** 2)
+    ell2 = Fraction(k2n * k2n * (D * D - 4 * X2 * X2), 4 * (k2d * D) ** 2)
+    ell1 = Fraction((k1n * D) ** 2 - (k1d * dA0) ** 2, (k1d * D) ** 2)
+    ch = params._memo[state] = SpectralData(
+        Fraction(dA2, D), Fraction(dA1, D), Fraction(dA0, D), ell3, ell2, ell1,
+        OmegaPoly._of((0, dE) if dE else (), D))
     return ch
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ from ttw4d.lattice import (
     LatticeOperator,
     LatticeVector,
     M1_minus_action,
+    anticommutator,
     check_identity,
     commutator,
     diagonal_operator,
@@ -112,8 +114,9 @@ def _normal_vec(v: LatticeVector) -> dict:
 @given(u=_NF_VECS, w=_NF_VECS, c=_NF_POLYS, p=_NF_POLYS, r=_NF_POLYS,
        a=_NF_TABLES, b=_NF_TABLES, st=_NF_STATES)
 def test_lattice_algebra_keeps_normal_form(u, w, c, p, r, a, b, st):
-    """+, -, scale, OmegaPoly *, on_vector and @ equal the dict reference, and
-    every result is in normal form, also where terms cancel exactly."""
+    """+, -, scale, OmegaPoly *, on_vector, @ and the symmetrized triple (two
+    operands equal or none) equal the dict reference, and every result is in
+    normal form, also where terms cancel exactly."""
     v = vec_add(w, u, -1)  # u + v = w cancels u's terms, leading ones included
     U, V, W = _vec(u), _vec(v), _vec(w)
     assert _normal_vec(U + V) == w
@@ -133,6 +136,59 @@ def test_lattice_algebra_keeps_normal_form(u, w, c, p, r, a, b, st):
     for s in (*b, st):
         assert _normal_vec(AB(s)) == op_apply(a, b.get(s, {}))
     assert _normal_vec(AB.on_vector(U)) == op_apply(a, op_apply(b, u))
+    tables = {id(A): a, id(B): b}
+    for x, y, z in ((A, B, B), (A, A, B), (B, A, B)):
+        T = symmetrized_triple(x, y, z)
+        for s in (*a, *b, st):
+            assert (_normal_vec(T(s))
+                    == _triple(tables[id(x)], tables[id(y)], tables[id(z)], s)), (s, x, y, z)
+
+
+def _triple(x: dict, y: dict, z: dict, st) -> dict:
+    """Dict reference of {X, Y, Z} at st: the sum of the six words."""
+    out = {}
+    for p, q, r in itertools.permutations((x, y, z)):
+        out = vec_add(out, op_apply(p, op_apply(q, r.get(st, {}))))
+    return out
+
+
+_NF_DIAGONALS = hst.dictionaries(_NF_STATES, _NF_POLYS, max_size=6)  # {} is a zero value
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=_NF_DIAGONALS, a=_NF_TABLES, st=_NF_STATES)
+def test_diagonal_products_and_brackets_match_the_dict_reference(d, a, st):
+    """A diagonal built from a {state: polynomial} table, zero values included:
+    D @ A, A @ D, D @ D and the brackets [D, A], [A, D], {D, A} equal the dict
+    reference on the expanded products, in normal form.  Each image reads its
+    operands in the order they act, A's image once, D at the source once."""
+    log = []
+    images = {s: _vec(u) for s, u in a.items()}
+
+    def value(s):
+        log.append(("d", s))
+        return _poly(d.get(s, {}))
+
+    def image(s):
+        log.append(("A", s))
+        return images.get(s, LatticeVector.zero())
+    D, A = diagonal_operator(value), LatticeOperator(image)
+    dt = {s: {s: p} for s, p in d.items() if p}  # D as an operator table
+    for s in (*a, *d, st):
+        s = QuantumState(*s)
+        targets = [("d", t) for t in images.get(s, LatticeVector.zero()).states()]
+        ad, da = op_apply(a, dt.get(s, {})), op_apply(dt, a.get(s, {}))
+        cases = ((D @ A, da, [("A", s)] + targets),
+                 (A @ D, ad, [("d", s)] + ([("A", s)] if d.get(s) else [])),
+                 (D @ D, op_apply(dt, dt.get(s, {})), [("d", s)] * (1 + bool(d.get(s)))),
+                 (commutator(D, A), vec_add(da, ad, -1), [("A", s)] + targets + [("d", s)]),
+                 (commutator(A, D), vec_add(ad, da, -1), [("d", s), ("A", s)] + targets),
+                 (anticommutator(D, A), vec_add(da, ad), [("A", s)] + targets + [("d", s)]))
+        for op, want, reads in cases:
+            log.clear()
+            assert _normal_vec(op(s)) == want, (s, want)
+            assert log == reads, (s, log, reads)
+        assert _normal_vec(symmetrized_triple(D, A, A)(s)) == _triple(dt, a, a, s), s
 
 
 @pytest.fixture
@@ -239,6 +295,53 @@ def test_identity_operators_are_per_parameter_set_and_variant():
                 assert (check_identity(i, which, kept, st, convention=conv, variant=var)
                         == check_identity(i, which, fresh, st, convention=conv,
                                           variant=var)), (tuple(st), i, which, conv, var)
+
+
+def _cross_commute_per_state(p, i, st) -> LatticeVector:
+    """The first nonzero cross-commute residual, its brackets built at st."""
+    for j in (1, 2, 3):
+        if j == i:
+            continue
+        for s in "+-":
+            r = commutator(l_operator(p, j), lpm_operator(p, i, s))(st)
+            if not r.is_zero():
+                return r
+        if abs(i - j) > 1:
+            for s in "+-":
+                for t in "+-":
+                    r = commutator(lpm_operator(p, j, s), lpm_operator(p, i, t))(st)
+                    if not r.is_zero():
+                        return r
+    return LatticeVector.zero()
+
+
+def test_cross_commute_operators_are_per_parameter_set(monkeypatch):
+    """check_identity builds each i's cross-commute brackets once per parameter
+    set (8, 4 and 8 for i = 1, 2, 3), whatever the number of states; an equal,
+    fresh set builds its own.  With a Xi_3^+ that detours through J+ J- on slot
+    1, the first nonzero residual is the one the per-state build returns."""
+    steps = lattice._xi_steps
+
+    def detour(params, i, sign):
+        extra = (("J+", 1), ("J-", 1)) if (i, sign) == (3, "+") else ()
+        return extra + steps(params, i, sign)
+
+    monkeypatch.setattr(lattice, "_xi_steps", detour)
+    built, real = [], lattice.commutator  # each build is counted under the i checked
+    monkeypatch.setattr(lattice, "commutator", lambda a, b: built.append(i) or real(a, b))
+    p, q, ref = (params_for((2, 1, 1), MIXED) for _ in range(3))
+    nonzero = 0
+    for params in (p, q):
+        for i in (1, 2, 3):
+            for st in identity_states(params, 4):
+                r = check_identity(i, "cross-commute", params, st)
+                assert r == _cross_commute_per_state(ref, i, st), (i, tuple(st))
+                nonzero += not r.is_zero()
+        assert Counter(built) == {1: 8, 2: 4, 3: 8}, built
+        built.clear()
+    assert nonzero == 2 * 2 * 4  # i = 1 and 3 fail at every state, for p and q
+    for i in (1, 2, 3):
+        assert p._memo["cross-commute", i] is not q._memo["cross-commute", i]
 
 
 @pytest.fixture
@@ -856,6 +959,36 @@ def test_m1_singular_divisor_guard():
     assert spectral_chain(p, st).A0 == 3 == p.pq1[0]
     with pytest.raises(DivisorSingular):
         M1_minus_action(p, st)
+
+
+def test_divisor_is_read_before_any_xi_image(xi_calls):
+    """X @ D reads D at the source before X's image, so at the state of
+    test_m1_singular_divisor_guard (A0 = p1 = 3) a vanishing divisor raises
+    before any Xi request, inside M1- too.  Over the n <= 2 box the four m1
+    relations all raise exactly at the states with A0 = p1, (n0, 0, 0, 0),
+    and hold exactly at the other 78."""
+    p = SystemParams(F(3, 2), F(3, 10), F(3, 100),
+                     F(1, 2), F(139, 100), F(1, 20), F(1, 20))
+    st = QuantumState(1, 0, 0, 0)
+    assert spectral_chain(p, st).A0 == 3 == p.pq1[0]
+    xp, xm = xi_operator(p, 1, "+"), xi_operator(p, 1, "-")
+    with pytest.raises(DivisorSingular):
+        ((xp - xm) @ lattice._divisor(p, "A0 - 3", lambda ch: ch.A0 - 3))(st)
+    assert sum(xi_calls.values()) == 0
+    with pytest.raises(DivisorSingular):
+        M1_minus_action(p, st)
+    assert sum(xi_calls.values()) == 0
+    M1 = m1_minus_operator(p)
+    rels = [commutator(l_operator(p, 1), M1) - lpm_operator(p, 1, "-"),
+            *(commutator(L, M1) for L in (h_operator(p), l_operator(p, 2), l_operator(p, 3)))]
+    raised = Counter()
+    for s in enumerate_states(2):
+        for rel in rels:
+            try:
+                assert rel(s).is_zero(), s
+            except DivisorSingular:
+                raised[s, spectral_chain(p, s).A0] += 1
+    assert raised == {(QuantumState(n0, 0, 0, 0), 3): 4 for n0 in range(3)}, raised
 
 
 _RATIOS = hst.sampled_from((F(1, 2), F(1), F(2)))

@@ -323,6 +323,26 @@ def test_shared_factor_blocks_are_bit_identical():
                 assert got_down[(axis, ev)] == want, (ev.key, axis, order)
 
 
+def test_one_context_serves_parameter_sets_that_differ_in_one_b():
+    """Two parameter sets that differ only in a1, slot 1's b, have the same
+    k1 and A1 at every state, so only the b in a block key tells their slot-1
+    Jacobi chains apart.  Through one shared EvalPoint, each set's
+    wavefunction jets over the n <= 2 box have the float.hex of a context of
+    its own, in either order of the sets."""
+    sets = [params_for((2, 1, 1), MIXED, F(3, 2)),
+            params_for((2, 1, 1), (F(5, 4),) + MIXED[1:], F(3, 2))]
+    assert (spectral_chain(sets[0], (1, 2, 1, 0)).A1
+            == spectral_chain(sets[1], (1, 2, 1, 0)).A1)
+    hexes = lambda jet: [c.hex() for c in jet.coeffs]
+    pt = (1.3, 0.31, 0.52, 0.77)
+    for order in (sets, sets[::-1]):
+        shared = EvalPoint(pt)
+        for st in enumerate_states(2):
+            for p in order:
+                want = hexes(wavefunction(p, st)(EvalPoint(pt), 2))
+                assert hexes(wavefunction(p, st)(shared, 2)) == want, (p.a1, tuple(st))
+
+
 def test_in_cell():
     p = params_for((2, 1, 1))
     assert in_cell(p, (1.0, 0.5, 1.0, 1.0))

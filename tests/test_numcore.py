@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -400,6 +400,7 @@ def _bits(values):
 
 @settings(max_examples=60, deadline=None)
 @given(_jet_pair())
+@example((1, 2, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, 1.0, 1.0]))  # univariate sums
 def test_flat_jet_core_matches_dict_reference(case):
     nvars, order, a, b, series = case
     base = (0.5,) * nvars

@@ -89,6 +89,21 @@ CATALOGUE = (
            'key = ("identity", i, which, convention, variant)',
            'key = ("identity", i, which, convention)',
            (LAT + "test_identity_operators_are_per_parameter_set_and_variant",)),
+    Mutant("commutator-weight-flipped", "lattice.py",
+           "else c + sign * ds).num", "else sign * c + ds).num",
+           (LAT + "test_diagonal_products_and_brackets_match_the_dict_reference",
+            LAT + "test_corrected_identities_hold_on_grid",
+            LAT + "test_commutator_antisymmetry_and_jacobi",
+            LAT + "test_m1_relations_exact_on_interior_states",
+            ACC + "test_criterion_06_fifth_symmetry")),
+    Mutant("triple-middle-word", "lattice.py",
+           "anticommutator(a, b @ b) + b @ (a @ b)", "anticommutator(a, b @ b) + b @ (b @ a)",
+           (LAT + "test_lattice_algebra_keeps_normal_form",
+            LAT + "test_diagonal_products_and_brackets_match_the_dict_reference",
+            LAT + "test_corrected_identities_hold_on_grid")),
+    Mutant("cross-commute-key-drops-i", "lattice.py",
+           'key = ("cross-commute", i)', 'key = ("cross-commute",)',
+           (LAT + "test_cross_commute_operators_are_per_parameter_set",)),
     Mutant("divisor-never-raises", "lattice.py",
            "if d == 0:", "if d != d:",
            (LAT + "test_m1_singular_divisor_guard",)),
@@ -120,6 +135,10 @@ CATALOGUE = (
            (DIF + "test_value_apply_is_the_order_one_jet_truncated",
             DIF + "test_pure_second_derivative_on_slot3",
             ACC + "test_criterion_09c_working_table_matches_lattice")),
+    Mutant("ell2-drops-factor-4", "model.py", "4 * X2 * X2", "X2 * X2",
+           (LAT + "test_integer_kernel_matches_fraction_reference",
+            MOD + "test_ell2_shift_identity",
+            ACC + "test_criterion_01_eigen_tower")),
     Mutant("build-l1-correction", "model.py",
            "(k1 ** 2 - k2 ** 2) / 4", "(k1 ** 2 - k2 ** 2) / 2",
            (ACC + "test_criterion_01_eigen_tower",
@@ -144,7 +163,8 @@ CATALOGUE = (
     # sets with the same (k, a) and different b can see this one
     Mutant("factor-block-key", "model.py",
            'chain_key = ("jacobi", *_exact(k, a, b))', 'chain_key = ("jacobi", *_exact(k, a))',
-           (MOD + "test_shared_factor_blocks_are_bit_identical",)),
+           (MOD + "test_shared_factor_blocks_are_bit_identical",
+            MOD + "test_one_context_serves_parameter_sets_that_differ_in_one_b")),
     Mutant("christoffel-sign", "geometry.py",
            "acc = -dg[mu][rho] if acc is None else acc - dg[mu][rho]",
            "acc = dg[mu][rho] if acc is None else acc + dg[mu][rho]",
